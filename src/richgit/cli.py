@@ -20,13 +20,11 @@ from .core import (
     GrassError,
     RichardsonId,
     fmt_tuple,
-    indices_above,
-    indices_below,
     make_index,
 )
 from .criteria import analyze, minimal_pair
 from .diagrams import render_skew
-from .oracle import census, default_contexts, verify
+from .oracle import admissible_reports, census, default_contexts, verify
 from .singular import richardson_singular_components
 
 
@@ -113,24 +111,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _census_csv(ctx: GrassCtx) -> str:
-    mp = minimal_pair(ctx)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["k", "n", "v", "w", "dimension", "has_semistable", "smooth"])
-    for v in indices_below(mp.v_min):
-        for w in indices_above(mp.w_min):
-            rep = analyze(v, w, ctx)
-            writer.writerow(
-                [
-                    ctx.k,
-                    ctx.n,
-                    ",".join(str(e) for e in v.entries),
-                    ",".join(str(e) for e in w.entries),
-                    rep.dimension,
-                    "true" if rep.has_semistable else "false",
-                    "true" if rep.smooth_by_components else "false",
-                ]
-            )
+    for rep in admissible_reports(ctx):
+        writer.writerow(
+            [
+                ctx.k,
+                ctx.n,
+                ",".join(str(e) for e in rep.pair.v.entries),
+                ",".join(str(e) for e in rep.pair.w.entries),
+                rep.dimension,
+                "true" if rep.has_semistable else "false",
+                "true" if rep.smooth_by_components else "false",
+            ]
+        )
     return buf.getvalue()
 
 
@@ -269,7 +264,6 @@ def _execute(args: argparse.Namespace) -> tuple[int, str]:
     if args.command == "census":
         ctx = GrassCtx(args.k, args.n)
         if args.format == "csv":
-            minimal_pair(ctx)  # surface NotCoprime before emitting anything
             return 0, _census_csv(ctx)
         rep = census(ctx, full=args.full)
         out = to_json(rep.to_dict()) if args.format == "json" else _census_text(rep)

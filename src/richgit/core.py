@@ -135,19 +135,9 @@ def enumerate_indices(ctx: GrassCtx) -> list[GrassIndex]:
     ]
 
 
-def bruhat_leq(a: GrassIndex, b: GrassIndex) -> bool:
-    """Componentwise order: a <= b iff a_t <= b_t for every t."""
-    return a <= b
-
-
 def length(w: GrassIndex) -> int:
     """Dimension of the Schubert variety X(w): the box count of its diagram."""
     return sum(e - i for i, e in enumerate(w.entries, start=1))
-
-
-def richardson_nonempty(v: GrassIndex, w: GrassIndex) -> bool:
-    """The Richardson variety X^v_w is nonempty exactly when v <= w."""
-    return bruhat_leq(v, w)
 
 
 @dataclass(frozen=True)
@@ -162,7 +152,7 @@ class RichardsonId:
             raise ContextMismatch(
                 f"v is from {self.v.ctx} but w is from {self.w.ctx}"
             )
-        if not bruhat_leq(self.v, self.w):
+        if not self.v <= self.w:
             raise EmptyRichardson(
                 f"v={self.v} is not below w={self.w}; X^v_w is empty"
             )

@@ -13,7 +13,6 @@ through complement_index and the ordinary machinery.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
 
 from .core import GrassCtx, GrassError, GrassIndex, RichardsonId
 
@@ -46,20 +45,6 @@ class BoxedPartition:
 
     def __str__(self) -> str:
         return "(" + ",".join(str(p) for p in self.parts) + ")"
-
-
-@dataclass(frozen=True)
-class RunLength:
-    """Run-length view of a partition: zero rows, then (value, multiplicity) runs."""
-
-    zeros: int
-    runs: tuple[tuple[int, int], ...]
-
-    def expand(self) -> tuple[int, ...]:
-        parts = [0] * self.zeros
-        for value, mult in self.runs:
-            parts.extend([value] * mult)
-        return tuple(parts)
 
 
 def to_partition(w: GrassIndex) -> BoxedPartition:
@@ -97,16 +82,6 @@ def opposite_shape(v: GrassIndex) -> tuple[int, ...]:
     """
     width = v.ctx.n - v.ctx.k
     return tuple(width - (e - i) for i, e in enumerate(v.entries, start=1))
-
-
-def run_length(p: BoxedPartition) -> RunLength:
-    """Zero-row count plus the nonzero runs (value, multiplicity), values increasing."""
-    zeros = sum(1 for part in p.parts if part == 0)
-    runs = tuple(
-        (value, len(list(group)))
-        for value, group in groupby(part for part in p.parts if part > 0)
-    )
-    return RunLength(zeros=zeros, runs=runs)
 
 
 def find_valleys(p: BoxedPartition) -> tuple[int, ...]:

@@ -1,12 +1,13 @@
 """Brute-force validators and exhaustive reports.
 
 hook_oracle_components recomputes Schubert singular loci by explicit
-cell-set manipulation on the diagram grid, sharing none of the run-length
-substitution code, so the two routes check each other.
+cell-set manipulation on the diagram grid, sharing none of the
+hook-removal code, so the two routes check each other.
 
-census sweeps every pair (v, w) with v <= v_min and w >= w_min for one
-coprime context, cross-checking the component criterion against the
-pattern shortcut and the run-length formula against the cell-set oracle.
+admissible_reports analyzes every pair (v, w) with v <= v_min and
+w >= w_min of one coprime context.  census aggregates it, cross-checking
+the component criterion against the pattern shortcut and the
+hook-removal formula against the cell-set oracle.
 verify aggregates censuses over a context list (default: all coprime
 (k, n) with n <= 12) into one deterministic, machine-readable report.
 """
@@ -15,19 +16,26 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from typing import Iterator
 
 from .core import (
     GrassCtx,
     GrassIndex,
     RichardsonId,
-    bruhat_leq,
     enumerate_indices,
     indices_above,
     indices_below,
     richardson_contains,
 )
-from .criteria import SINGULAR, SMOOTH, analyze, has_semistable, minimal_pair
-from .singular import richardson_singular_components, schubert_singular_components
+from .criteria import (
+    SINGULAR,
+    SMOOTH,
+    AnalysisReport,
+    analyze,
+    has_semistable,
+    minimal_pair,
+)
+from .singular import schubert_singular_components
 
 ERRATUM_NOTES: tuple[str, ...] = (
     "Known typo in the literature: the worked singular locus of X((3,5,7,9)) "
@@ -81,7 +89,7 @@ def hook_oracle_components(w: GrassIndex) -> frozenset[GrassIndex]:
 
 @dataclass(frozen=True)
 class OracleMismatch:
-    """Disagreement between the run-length formula and the cell-set oracle."""
+    """Disagreement between the hook-removal formula and the cell-set oracle."""
 
     w: GrassIndex
     formula: tuple[GrassIndex, ...]
@@ -172,12 +180,25 @@ def containment_consistency_failures(ctx: GrassCtx) -> tuple[RichardsonId, ...]:
     everything = enumerate_indices(ctx)
     for v in everything:
         for w in everything:
-            if not bruhat_leq(v, w):
+            if not v <= w:
                 continue
             rid = RichardsonId(v, w)
             if has_semistable(rid, mp) != richardson_contains(minimal_id, rid):
                 fails.append(rid)
     return tuple(fails)
+
+
+def admissible_reports(ctx: GrassCtx) -> Iterator[AnalysisReport]:
+    """analyze(v, w, ctx) for every v <= v_min and w >= w_min, v-major.
+
+    Both intervals are enumerated in lexicographic order, and the reports
+    stream one at a time.  Raises NotCoprime on the first next().
+    """
+    mp = minimal_pair(ctx)
+    ws = indices_above(mp.w_min)
+    for v in indices_below(mp.v_min):
+        for w in ws:
+            yield analyze(v, w, ctx)
 
 
 def census(ctx: GrassCtx, *, full: bool = False) -> CensusReport:
@@ -186,27 +207,21 @@ def census(ctx: GrassCtx, *, full: bool = False) -> CensusReport:
     With full=True the quadratic nonemptiness/semistability consistency
     sweep over all of I(k,n) x I(k,n) is run as well.
     """
-    mp = minimal_pair(ctx)
-    vs = indices_below(mp.v_min)
-    ws = indices_above(mp.w_min)
-    smooth = singular = 0
+    total = smooth = 0
     mismatches = []
-    for v in vs:
-        for w in ws:
-            rep = analyze(v, w, ctx)
-            if rep.verdict == SMOOTH:
-                smooth += 1
-            else:
-                singular += 1
-            if rep.mismatch:
-                mismatches.append(
-                    PatternMismatch(
-                        v=v,
-                        w=w,
-                        smooth_by_components=rep.smooth_by_components,
-                        smooth_by_pattern=rep.smooth_by_pattern,
-                    )
+    for rep in admissible_reports(ctx):
+        total += 1
+        if rep.verdict == SMOOTH:
+            smooth += 1
+        if rep.mismatch:
+            mismatches.append(
+                PatternMismatch(
+                    v=rep.pair.v,
+                    w=rep.pair.w,
+                    smooth_by_components=rep.smooth_by_components,
+                    smooth_by_pattern=rep.smooth_by_pattern,
                 )
+            )
     oracle_mismatches = oracle_sweep(ctx)
     consistency = containment_consistency_failures(ctx) if full else ()
     notes = list(ERRATUM_NOTES)
@@ -220,9 +235,9 @@ def census(ctx: GrassCtx, *, full: bool = False) -> CensusReport:
         )
     return CensusReport(
         ctx=ctx,
-        total_pairs=len(vs) * len(ws),
+        total_pairs=total,
         smooth_count=smooth,
-        singular_count=singular,
+        singular_count=total - smooth,
         mismatches=tuple(mismatches),
         oracle_mismatches=oracle_mismatches,
         consistency_failures=consistency,
@@ -327,44 +342,3 @@ def verify(ctxs: list[GrassCtx] | None = None) -> VerifyReport:
     )
     return VerifyReport(censuses=censuses, examples=examples, passed=passed)
 
-
-def incomparability_violations(
-    ctx: GrassCtx,
-) -> list[tuple[RichardsonId, RichardsonId, RichardsonId]]:
-    """Component pairs of some singular locus where one contains the other.
-
-    Reported rather than asserted: nothing guarantees the filtered
-    component list is irredundant, though no violation is known.
-    """
-    out = []
-    everything = enumerate_indices(ctx)
-    for v in everything:
-        for w in everything:
-            if not bruhat_leq(v, w):
-                continue
-            comps = [c.pair for c in richardson_singular_components(RichardsonId(v, w))]
-            for i in range(len(comps)):
-                for j in range(len(comps)):
-                    if i != j and richardson_contains(comps[i], comps[j]):
-                        out.append((RichardsonId(v, w), comps[i], comps[j]))
-    return out
-
-
-def monotonicity_violations(
-    ctx: GrassCtx,
-) -> list[tuple[RichardsonId, RichardsonId]]:
-    """Smooth pairs whose shrink to (v, w_min) or (v_min, w) is not smooth.
-
-    Reported rather than asserted: the monotonicity is a spot observation,
-    not a guaranteed property.
-    """
-    mp = minimal_pair(ctx)
-    out = []
-    for v in indices_below(mp.v_min):
-        for w in indices_above(mp.w_min):
-            if analyze(v, w, ctx).verdict != SMOOTH:
-                continue
-            for shrunk in (RichardsonId(v, mp.w_min), RichardsonId(mp.v_min, w)):
-                if analyze(shrunk.v, shrunk.w, ctx).verdict != SMOOTH:
-                    out.append((RichardsonId(v, w), shrunk))
-    return out

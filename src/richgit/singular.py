@@ -1,12 +1,11 @@
 """Irreducible components of singular loci.
 
-Schubert side: the classical run-length substitution.  If the part
-sequence of X(w) is (p_1^{q_1}, ..., p_r^{q_r}) then the singular locus
-has r - 1 components, the i-th obtained by replacing the adjacent runs
-p_i^{q_i}, p_{i+1}^{q_{i+1}} with (p_i - 1)^{q_i + 1}, p_{i+1}^{q_{i+1}-1}.
-Note that p_1 - 1 = 0 legitimately creates zero rows and q_{i+1} - 1 = 0
-legitimately deletes a run; both are handled by rebuilding the full
-length-k part sequence.
+Schubert side: one component per valley of the Young diagram of w, got by
+removing the hook through that valley (diagrams.remove_hook).  In terms
+of the part sequence (p_1^{q_1}, ..., p_r^{q_r}) of X(w) this is the
+classical run-length substitution: the r - 1 components replace the
+adjacent runs p_i^{q_i}, p_{i+1}^{q_{i+1}} with
+(p_i - 1)^{q_i + 1}, p_{i+1}^{q_{i+1} - 1}.
 
 Opposite side: X^v is isomorphic to X(v') for the complemented index, so
 its components are the complements of the Schubert-side components of v'.
@@ -22,12 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .core import GrassIndex, RichardsonId, bruhat_leq
+from .core import GrassIndex, RichardsonId
 from .diagrams import (
-    BoxedPartition,
     complement_index,
+    find_valleys,
     from_partition,
-    run_length,
+    remove_hook,
     to_partition,
 )
 
@@ -48,28 +47,10 @@ def schubert_singular_components(w: GrassIndex) -> tuple[GrassIndex, ...]:
     """Indices of the r - 1 singular-locus components of X(w).
 
     Empty when the part sequence has at most one nonzero run (X(w) smooth).
-    Components are ordered by the run boundary they remove, bottom first.
+    Components are ordered by the valley they remove, bottom row first.
     """
     p = to_partition(w)
-    rl = run_length(p)
-    out = []
-    for i in range(len(rl.runs) - 1):
-        pi, qi = rl.runs[i]
-        pnext, qnext = rl.runs[i + 1]
-        zeros = rl.zeros
-        runs = list(rl.runs[:i])
-        if pi - 1 == 0:
-            zeros += qi + 1
-        else:
-            runs.append((pi - 1, qi + 1))
-        if qnext - 1 > 0:
-            runs.append((pnext, qnext - 1))
-        runs.extend(rl.runs[i + 2 :])
-        parts = [0] * zeros
-        for value, mult in runs:
-            parts.extend([value] * mult)
-        out.append(from_partition(BoxedPartition(tuple(parts), w.ctx)))
-    return tuple(out)
+    return tuple(from_partition(remove_hook(p, j)) for j in find_valleys(p))
 
 
 @lru_cache(maxsize=None)
@@ -93,13 +74,13 @@ def richardson_singular_components(
     comps: list[SingularComponent] = []
     seen = set()
     for w2 in schubert_singular_components(rid.w):
-        if bruhat_leq(rid.v, w2):
+        if rid.v <= w2:
             pair = RichardsonId(rid.v, w2)
             if pair not in seen:
                 seen.add(pair)
                 comps.append(SingularComponent(pair, SCHUBERT_SIDE))
     for v2 in opposite_singular_components(rid.v):
-        if bruhat_leq(v2, rid.w):
+        if v2 <= rid.w:
             pair = RichardsonId(v2, rid.w)
             if pair not in seen:
                 seen.add(pair)

@@ -1,7 +1,9 @@
+import csv
 import json
 
 import pytest
 
+from richgit import GrassCtx, census
 from richgit.cli import main, to_json
 
 
@@ -126,6 +128,20 @@ class TestCensus:
         rows = [line.split(",", 2)[2] for line in lines[1:]]
         assert rows == sorted(rows)
         assert len(rows) == 4
+
+    @pytest.mark.parametrize("k,n", [(3, 8), (4, 9)])
+    def test_csv_rows_match_census(self, capsys, k, n):
+        code, out, _ = run_cli(capsys, "census", "-k", str(k), "-n", str(n), "--format", "csv")
+        assert code == 0
+        rows = list(csv.DictReader(out.splitlines()))
+        rep = census(GrassCtx(k, n))
+        assert len(rows) == rep.total_pairs
+        assert sum(row["smooth"] == "true" for row in rows) == rep.smooth_count
+        pairs = [
+            (tuple(map(int, row["v"].split(","))), tuple(map(int, row["w"].split(","))))
+            for row in rows
+        ]
+        assert pairs == sorted(set(pairs))
 
     def test_csv_not_coprime(self, capsys):
         code, out, err = run_cli(capsys, "census", "-k", "2", "-n", "4", "--format", "csv")

@@ -1,7 +1,9 @@
+import ast
 import math
 
 import pytest
 
+import richgit
 from richgit import (
     ContextMismatch,
     EmptyRichardson,
@@ -11,7 +13,6 @@ from richgit import (
     OutOfRange,
     RichardsonId,
     WrongLength,
-    bruhat_leq,
     enumerate_indices,
     indices_above,
     indices_below,
@@ -19,7 +20,6 @@ from richgit import (
     make_index,
     richardson_contains,
     richardson_dim,
-    richardson_nonempty,
 )
 
 G49 = GrassCtx(4, 9)
@@ -99,16 +99,16 @@ class TestEnumerate:
 
 class TestBruhatOrder:
     def test_reference_pairs(self):
-        assert bruhat_leq(idx((1, 3, 5, 7)), idx((3, 5, 7, 9)))
-        assert not bruhat_leq(idx((2, 4, 5, 7)), idx((2, 3, 7, 9)))
+        assert idx((1, 3, 5, 7)) <= idx((3, 5, 7, 9))
+        assert not idx((2, 4, 5, 7)) <= idx((2, 3, 7, 9))
 
     def test_reflexive(self):
         a = idx((2, 4, 5, 7))
-        assert bruhat_leq(a, a)
+        assert a <= a
 
     def test_context_mismatch(self):
         with pytest.raises(ContextMismatch):
-            bruhat_leq(make_index((1, 2), GrassCtx(2, 5)), make_index((1, 2), GrassCtx(2, 6)))
+            make_index((1, 2), GrassCtx(2, 5)) <= make_index((1, 2), GrassCtx(2, 6))
 
     def test_partial_order_axioms_exhaustive(self):
         # reflexivity, antisymmetry, transitivity over every context with n <= 9
@@ -143,10 +143,10 @@ class TestLength:
 
 class TestRichardson:
     def test_nonempty_examples(self):
-        assert richardson_nonempty(idx((2, 4, 5, 7)), idx((3, 5, 7, 9)))
-        assert not richardson_nonempty(idx((4, 5, 6, 7)), idx((3, 5, 7, 9)))
+        assert idx((2, 4, 5, 7)) <= idx((3, 5, 7, 9))
+        assert not idx((4, 5, 6, 7)) <= idx((3, 5, 7, 9))
         v = idx((1, 3, 5, 7))
-        assert richardson_nonempty(v, v)
+        assert v <= v
 
     def test_empty_pair_rejected(self):
         with pytest.raises(EmptyRichardson):
@@ -169,7 +169,7 @@ class TestRichardson:
             elems = enumerate_indices(ctx)
             for v in elems:
                 for w in elems:
-                    if not bruhat_leq(v, w):
+                    if not v <= w:
                         continue
                     d = richardson_dim(RichardsonId(v, w))
                     assert d >= 0
@@ -183,3 +183,20 @@ class TestIntervals:
             for bound in elems:
                 assert indices_below(bound) == [a for a in elems if a <= bound]
                 assert indices_above(bound) == [a for a in elems if a >= bound]
+
+
+class TestPublicSurface:
+    def test_all_matches_imports(self):
+        exported = richgit.__all__
+        assert len(exported) == len(set(exported))
+        for name in exported:
+            assert hasattr(richgit, name), name
+        tree = ast.parse(open(richgit.__file__, encoding="utf-8").read())
+        imported = {
+            alias.asname or alias.name
+            for node in tree.body
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+        }
+        public = {name for name in imported if not name.startswith("_")}
+        assert public - set(exported) == set()

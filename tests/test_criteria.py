@@ -12,7 +12,6 @@ from richgit import (
     NotCoprime,
     RichardsonId,
     analyze,
-    bruhat_leq,
     enumerate_indices,
     has_semistable,
     make_index,
@@ -97,7 +96,7 @@ class TestHasSemistable:
             elems = enumerate_indices(ctx)
             for v in elems:
                 for w in elems:
-                    if not bruhat_leq(v, w):
+                    if not v <= w:
                         continue
                     pair = RichardsonId(v, w)
                     assert has_semistable(pair, mp) == richardson_contains(
@@ -174,7 +173,7 @@ class TestAnalyze:
             elems = enumerate_indices(ctx)
             for v in elems:
                 for w in elems:
-                    if not bruhat_leq(v, w):
+                    if not v <= w:
                         continue
                     rep = analyze(v, w, ctx)
                     assert rep.verdict != HYPOTHESIS_NOT_MET
