@@ -24,7 +24,7 @@ from .core import (
 )
 from .criteria import analyze, minimal_pair
 from .diagrams import render_skew
-from .oracle import admissible_reports, census, default_contexts, verify
+from .oracle import admissible_reports, census, verify
 from .singular import richardson_singular_components
 
 
@@ -151,7 +151,7 @@ def _analysis_text(rep) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _census_text(rep) -> str:
+def _census_text(rep, full: bool) -> str:
     lines = [
         f"census of {rep.ctx}:",
         f"  total_pairs: {rep.total_pairs}",
@@ -160,6 +160,8 @@ def _census_text(rep) -> str:
         f"  pattern mismatches: {len(rep.mismatches)}",
         f"  oracle mismatches: {len(rep.oracle_mismatches)}",
     ]
+    if full:
+        lines.append(f"  consistency failures: {len(rep.consistency_failures)}")
     for m in rep.mismatches:
         lines.append(
             f"    v={m.v} w={m.w} components={str(m.smooth_by_components).lower()} "
@@ -266,12 +268,11 @@ def _execute(args: argparse.Namespace) -> tuple[int, str]:
         if args.format == "csv":
             return 0, _census_csv(ctx)
         rep = census(ctx, full=args.full)
-        out = to_json(rep.to_dict()) if args.format == "json" else _census_text(rep)
+        out = to_json(rep.to_dict()) if args.format == "json" else _census_text(rep, args.full)
         return 0, out
 
     if args.command == "verify":
-        ctxs = args.ctx if args.ctx else default_contexts()
-        rep = verify(ctxs)
+        rep = verify(args.ctx)
         out = to_json(rep.to_dict()) if args.format == "json" else _verify_text(rep)
         return (0 if rep.passed else 1), out
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator, Sequence
+from typing import Sequence
 
 
 class GrassError(ValueError):
@@ -102,18 +102,6 @@ class GrassIndex:
 
     def __ge__(self, other: "GrassIndex") -> bool:
         return other.__le__(self)
-
-    def __lt__(self, other: "GrassIndex") -> bool:
-        return self.__le__(other) and self.entries != other.entries
-
-    def __gt__(self, other: "GrassIndex") -> bool:
-        return other.__lt__(self)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.entries)
-
-    def __getitem__(self, i: int) -> int:
-        return self.entries[i]
 
     def __str__(self) -> str:
         return fmt_tuple(self.entries)

@@ -8,10 +8,11 @@ when v <= v_min and w >= w_min.
 
 The torus quotient of X^v_w is smooth exactly when its semistable locus
 avoids the singular locus, i.e. when no singular component admits
-semistable points: that is smooth_by_components, the verdict's source of
-truth.  smooth_by_pattern is an entry-pattern shortcut evaluated directly
-on (v, w) and the a-sequence; the two are cross-checked by the census and
-any disagreement is recorded, never silently resolved.
+semistable points.  analyze is the one place that decides this: the
+report field smooth_by_components is the verdict's source of truth, and
+smooth_by_pattern records an entry-pattern shortcut evaluated directly on
+(v, w) and the a-sequence.  The census cross-checks the two fields and
+records any disagreement, never silently resolving it.
 """
 
 from __future__ import annotations
@@ -34,31 +35,23 @@ from .singular import richardson_singular_components
 EMPTY_QUOTIENT = "EMPTY_QUOTIENT"
 SMOOTH = "SMOOTH"
 SINGULAR = "SINGULAR"
-HYPOTHESIS_NOT_MET = "HYPOTHESIS_NOT_MET"
 
 
 class NotCoprime(GrassError):
     """Operation requires gcd(k, n) = 1."""
 
 
-class HypothesisNotMet(GrassError):
-    """Pair does not satisfy v <= v_min and w >= w_min."""
-
-
 @dataclass(frozen=True)
 class MinimalPair:
     """The minimal semistable-admitting pair of a coprime context.
 
-    a holds (a_1, ..., a_k); the convention a_0 = 1 is supplied by a_at.
+    a holds (a_1, ..., a_k); w_min is a and v_min is (1, a_1, ..., a_{k-1}).
     """
 
     ctx: GrassCtx
     w_min: GrassIndex
     v_min: GrassIndex
     a: tuple[int, ...]
-
-    def a_at(self, i: int) -> int:
-        return 1 if i == 0 else self.a[i - 1]
 
 
 @lru_cache(maxsize=None)
@@ -82,30 +75,13 @@ def has_semistable(rid: RichardsonId, mp: MinimalPair) -> bool:
     return rid.v <= mp.v_min and rid.w >= mp.w_min
 
 
-def _check_hypothesis(rid: RichardsonId, mp: MinimalPair) -> None:
-    if not has_semistable(rid, mp):
-        raise HypothesisNotMet(
-            f"need v <= {mp.v_min} and w >= {mp.w_min}, got v={rid.v} w={rid.w}"
-        )
-
-
-def smooth_by_components(rid: RichardsonId, mp: MinimalPair) -> bool:
-    """True iff no singular-locus component of X^v_w admits semistable points."""
-    _check_hypothesis(rid, mp)
-    return all(
-        not has_semistable(comp.pair, mp)
-        for comp in richardson_singular_components(rid)
-    )
-
-
-def smooth_by_pattern(rid: RichardsonId, mp: MinimalPair) -> bool:
+def _smooth_by_pattern(rid: RichardsonId, mp: MinimalPair) -> bool:
     """Entry-pattern test on w = (b_1..b_k), v = (c_1..c_k) and a = (a_1..a_k).
 
     For every j in [2, k]: whenever b_j >= b_{j-1} + 2 require
     a_j >= b_{j-1} + 1, and whenever c_j >= c_{j-1} + 2 require
-    a_{j-1} <= c_j + 1.
+    a_{j-1} <= c_j + 1.  Meaningful only when rid admits semistable points.
     """
-    _check_hypothesis(rid, mp)
     b, c, a = rid.w.entries, rid.v.entries, mp.a
     for j in range(1, mp.ctx.k):  # 0-based j stands for 1-based j+1
         if b[j] >= b[j - 1] + 2 and not a[j] >= b[j - 1] + 1:
@@ -137,10 +113,9 @@ class AnalysisReport:
     """Full verdict record for one pair (v, w).
 
     smooth_by_components and smooth_by_pattern are None when the quotient
-    is empty (the hypothesis is the semistability criterion itself, so
-    HYPOTHESIS_NOT_MET cannot occur for a pair that admits semistable
-    points).  The verdict follows smooth_by_components; a disagreement
-    with smooth_by_pattern stays visible through the mismatch property.
+    is empty, i.e. when the pair admits no semistable points.  The verdict
+    follows smooth_by_components; a disagreement with smooth_by_pattern
+    stays visible through the mismatch property.
     """
 
     pair: RichardsonId
@@ -206,7 +181,7 @@ def analyze(
         verdict = EMPTY_QUOTIENT
     else:
         by_components = all(not c.has_semistable for c in components)
-        by_pattern = smooth_by_pattern(rid, mp)
+        by_pattern = _smooth_by_pattern(rid, mp)
         verdict = SMOOTH if by_components else SINGULAR
 
     return AnalysisReport(

@@ -74,16 +74,6 @@ def complement_index(v: GrassIndex) -> GrassIndex:
     return GrassIndex(tuple(n + 1 - e for e in reversed(v.entries)), v.ctx)
 
 
-def opposite_shape(v: GrassIndex) -> tuple[int, ...]:
-    """Box counts of the right-anchored opposite diagram of v, bottom row first.
-
-    Row i holds n - k - v_i + i boxes; the sequence is weakly decreasing,
-    so it is returned as a plain tuple rather than a BoxedPartition.
-    """
-    width = v.ctx.n - v.ctx.k
-    return tuple(width - (e - i) for i, e in enumerate(v.entries, start=1))
-
-
 def find_valleys(p: BoxedPartition) -> tuple[int, ...]:
     """Rows j (1-based, from the bottom) holding a valley of the diagram.
 
@@ -106,7 +96,10 @@ def remove_hook(p: BoxedPartition, valley_row: int) -> BoxedPartition:
     is unchanged.  In run-length terms (p_i^{q_i}, p_{i+1}^{q_{i+1}}, ...)
     around the valley becomes ((p_i - 1)^{q_i + 1}, p_{i+1}^{q_{i+1}-1}, ...).
     """
-    if valley_row not in find_valleys(p):
+    if not (
+        2 <= valley_row <= len(p.parts)
+        and p.parts[valley_row - 1] > p.parts[valley_row - 2] >= 1
+    ):
         raise NotAValley(f"row {valley_row} of {p} is not a valley")
     j0 = valley_row - 1
     below = p.parts[j0 - 1]
@@ -121,46 +114,17 @@ def remove_hook(p: BoxedPartition, valley_row: int) -> BoxedPartition:
     return BoxedPartition(parts, p.ctx)
 
 
-@dataclass(frozen=True)
-class SkewShape:
-    """Outer and inner diagrams of a Richardson pair; the skew region is their difference."""
-
-    outer: BoxedPartition
-    inner: BoxedPartition
-
-    def __post_init__(self) -> None:
-        if self.outer.ctx != self.inner.ctx:
-            raise GrassError("outer and inner partitions have different contexts")
-        for i, (o, inn) in enumerate(zip(self.outer.parts, self.inner.parts), start=1):
-            if inn > o:
-                raise GrassError(f"inner row {i} ({inn}) exceeds outer row {i} ({o})")
-
-    @property
-    def ctx(self) -> GrassCtx:
-        return self.outer.ctx
-
-    def render(self) -> str:
-        """ASCII grid, top row of the rectangle first.
-
-        Cell (row i from the bottom, column c) prints 'v' inside the inner
-        diagram, '#' in the skew region, '.' outside the outer diagram.
-        No trailing whitespace; rows joined by newlines.
-        """
-        width = self.ctx.n - self.ctx.k
-        lines = []
-        for i in range(self.ctx.k, 0, -1):
-            inn, out = self.inner.parts[i - 1], self.outer.parts[i - 1]
-            lines.append("v" * inn + "#" * (out - inn) + "." * (width - out))
-        return "\n".join(lines)
-
-
-def skew_shape(rid: RichardsonId) -> SkewShape:
-    return SkewShape(outer=to_partition(rid.w), inner=to_partition(rid.v))
-
-
 def render_skew(rid: RichardsonId) -> str:
-    """Text grid of the skew diagram of X^v_w; see SkewShape.render.
+    """Text grid of the skew diagram of X^v_w, top row of the rectangle first.
 
-    Emits exactly length(v) 'v' cells and dim X^v_w '#' cells.
+    Cell (row i from the bottom, column c) prints 'v' inside the diagram
+    of v, '#' in the skew region, '.' outside the diagram of w; this emits
+    exactly length(v) 'v' cells and dim X^v_w '#' cells.  No trailing
+    whitespace; rows joined by newlines.
     """
-    return skew_shape(rid).render()
+    width = rid.ctx.n - rid.ctx.k
+    inner, outer = to_partition(rid.v).parts, to_partition(rid.w).parts
+    return "\n".join(
+        "v" * inn + "#" * (out - inn) + "." * (width - out)
+        for inn, out in zip(reversed(inner), reversed(outer))
+    )

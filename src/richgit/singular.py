@@ -69,20 +69,18 @@ def richardson_singular_components(
 
     Returns the pairs (v, w') for Schubert-side components w' of w with
     v <= w', then the pairs (v', w) for opposite-side components v' of v
-    with v' <= w.  Empty for smooth Richardson varieties.
+    with v' <= w.  Empty for smooth Richardson varieties.  No pair repeats:
+    the w' are distinct (one per valley) and strictly below w, and the v'
+    are distinct (complements of distinct indices) while keeping w.
     """
-    comps: list[SingularComponent] = []
-    seen = set()
-    for w2 in schubert_singular_components(rid.w):
-        if rid.v <= w2:
-            pair = RichardsonId(rid.v, w2)
-            if pair not in seen:
-                seen.add(pair)
-                comps.append(SingularComponent(pair, SCHUBERT_SIDE))
-    for v2 in opposite_singular_components(rid.v):
-        if v2 <= rid.w:
-            pair = RichardsonId(v2, rid.w)
-            if pair not in seen:
-                seen.add(pair)
-                comps.append(SingularComponent(pair, OPPOSITE_SIDE))
-    return tuple(comps)
+    schubert = tuple(
+        SingularComponent(RichardsonId(rid.v, w2), SCHUBERT_SIDE)
+        for w2 in schubert_singular_components(rid.w)
+        if rid.v <= w2
+    )
+    opposite = tuple(
+        SingularComponent(RichardsonId(v2, rid.w), OPPOSITE_SIDE)
+        for v2 in opposite_singular_components(rid.v)
+        if v2 <= rid.w
+    )
+    return schubert + opposite

@@ -37,7 +37,6 @@ from richgit import (
     oracle_sweep,
     richardson_singular_components,
     schubert_singular_components,
-    smooth_by_components,
     to_partition,
     verify,
 )
@@ -133,10 +132,10 @@ def pattern_smooth(rid, mp, *, exact):
 
     The b-clause is the stated one: b_j >= b_{j-1} + 2 requires
     a_j >= b_{j-1} + 1.  With exact=False the c-clause is the stated one
-    (a_{j-1} <= c_j + 1), as smooth_by_pattern documents.  With
-    exact=True it is the clause that hook removal on the complemented
-    diagram gives: an opposite valley j (c_j >= c_{j-1} + 2) yields a
-    semistable component iff c_j <= a_{j-2}, with a_0 = 1.  The two
+    (a_{j-1} <= c_j + 1), as documented for the smooth_by_pattern field of
+    analyze.  With exact=True it is the clause that hook removal on the
+    complemented diagram gives: an opposite valley j (c_j >= c_{j-1} + 2)
+    yields a semistable component iff c_j <= a_{j-2}, with a_0 = 1.  The two
     c-clauses coincide only where a_{j-1} - a_{j-2} = 2.
     """
     b, c, a = rid.w.entries, rid.v.entries, mp.a
@@ -144,7 +143,7 @@ def pattern_smooth(rid, mp, *, exact):
         if b[j] >= b[j - 1] + 2 and not a[j] >= b[j - 1] + 1:
             return False
         if c[j] >= c[j - 1] + 2:
-            if exact and not c[j] >= mp.a_at(j - 1) + 1:
+            if exact and not c[j] >= ((1,) + mp.a)[j - 1] + 1:
                 return False
             if not exact and not a[j - 1] <= c[j] + 1:
                 return False
@@ -179,7 +178,7 @@ def test_criterion_07_criterion_equivalence():
             for w in indices_above(mp.w_min):
                 rid = RichardsonId(v, w)
                 exact = pattern_smooth(rid, mp, exact=True)
-                if smooth_by_components(rid, mp) != exact:
+                if analyze(v, w, ctx).smooth_by_components != exact:
                     component_diffs.append((str(ctx), v.entries, w.entries))
                 pattern = pattern_smooth(rid, mp, exact=False)
                 if exact != pattern:

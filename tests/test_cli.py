@@ -153,6 +153,22 @@ class TestCensus:
         _, out, _ = run_cli(capsys, "census", "-k", "4", "-n", "9", "--format", "json")
         assert to_json(json.loads(out)) == out
 
+    def test_text_golden(self, capsys):
+        code, out, _ = run_cli(capsys, "census", "-k", "2", "-n", "5")
+        assert code == 0
+        assert out == (
+            "census of G(2,5):\n"
+            "  total_pairs: 4\n"
+            "  smooth_count: 4\n"
+            "  singular_count: 0\n"
+            "  pattern mismatches: 0\n"
+            "  oracle mismatches: 0\n"
+        )
+        # only --full runs the consistency sweep, so only it reports the count
+        code, full, _ = run_cli(capsys, "census", "-k", "2", "-n", "5", "--full")
+        assert code == 0
+        assert full == out + "  consistency failures: 0\n"
+
 
 class TestVerify:
     def test_clean_context_exit_0(self, capsys):

@@ -4,11 +4,9 @@ import pytest
 
 from richgit import (
     EMPTY_QUOTIENT,
-    HYPOTHESIS_NOT_MET,
     SINGULAR,
     SMOOTH,
     GrassCtx,
-    HypothesisNotMet,
     NotCoprime,
     RichardsonId,
     analyze,
@@ -17,8 +15,6 @@ from richgit import (
     make_index,
     minimal_pair,
     richardson_contains,
-    smooth_by_components,
-    smooth_by_pattern,
 )
 
 G49 = GrassCtx(4, 9)
@@ -106,33 +102,20 @@ class TestHasSemistable:
 
 class TestSmoothByComponents:
     def test_reference_values(self):
-        mp = minimal_pair(G49)
-        assert smooth_by_components(rid((1, 3, 4, 6), (3, 5, 7, 9)), mp)
-        assert not smooth_by_components(rid((1, 2, 3, 5), (3, 5, 7, 9)), mp)
-        assert not smooth_by_components(rid((1, 3, 4, 6), (5, 7, 8, 9)), mp)
-
-    def test_hypothesis_enforced(self):
-        mp = minimal_pair(G49)
-        with pytest.raises(HypothesisNotMet):
-            smooth_by_components(rid((1, 2, 6, 7), (3, 6, 7, 9)), mp)
+        assert analyze((1, 3, 4, 6), (3, 5, 7, 9), G49).smooth_by_components
+        assert not analyze((1, 2, 3, 5), (3, 5, 7, 9), G49).smooth_by_components
+        assert not analyze((1, 3, 4, 6), (5, 7, 8, 9), G49).smooth_by_components
 
 
 class TestSmoothByPattern:
     def test_reference_values(self):
-        mp = minimal_pair(G49)
-        assert smooth_by_pattern(rid((1, 3, 5, 7), (3, 5, 7, 9)), mp)
-        assert not smooth_by_pattern(rid((1, 2, 3, 5), (3, 5, 7, 9)), mp)
-        assert smooth_by_pattern(rid((1, 2, 4, 7), (3, 5, 7, 9)), mp)
+        assert analyze((1, 3, 5, 7), (3, 5, 7, 9), G49).smooth_by_pattern
+        assert not analyze((1, 2, 3, 5), (3, 5, 7, 9), G49).smooth_by_pattern
+        assert analyze((1, 2, 4, 7), (3, 5, 7, 9), G49).smooth_by_pattern
 
     def test_cross_check_against_components(self):
-        mp = minimal_pair(G49)
-        pair = rid((1, 2, 4, 7), (3, 5, 7, 9))
-        assert smooth_by_components(pair, mp) == smooth_by_pattern(pair, mp) is True
-
-    def test_hypothesis_enforced(self):
-        mp = minimal_pair(G49)
-        with pytest.raises(HypothesisNotMet):
-            smooth_by_pattern(rid((1, 2, 6, 7), (3, 6, 7, 9)), mp)
+        rep = analyze((1, 2, 4, 7), (3, 5, 7, 9), G49)
+        assert rep.smooth_by_components == rep.smooth_by_pattern is True
 
 
 class TestAnalyze:
@@ -176,7 +159,7 @@ class TestAnalyze:
                     if not v <= w:
                         continue
                     rep = analyze(v, w, ctx)
-                    assert rep.verdict != HYPOTHESIS_NOT_MET
+                    assert rep.verdict in (EMPTY_QUOTIENT, SMOOTH, SINGULAR)
                     assert (rep.verdict == EMPTY_QUOTIENT) == (not rep.has_semistable)
                     if rep.has_semistable:
                         assert rep.verdict == (

@@ -8,14 +8,12 @@ from richgit import (
     GrassError,
     NotAValley,
     RichardsonId,
-    SkewShape,
     complement_index,
     enumerate_indices,
     find_valleys,
     from_partition,
     length,
     make_index,
-    opposite_shape,
     remove_hook,
     render_skew,
     richardson_dim,
@@ -118,21 +116,6 @@ class TestComplement:
                     assert q[i] + p[ctx.k - 1 - i] == width
 
 
-class TestOppositeShape:
-    def test_reference_values(self):
-        assert opposite_shape(idx((2, 4, 5, 7))) == (4, 3, 3, 2)
-        assert opposite_shape(idx((6, 7, 8, 9))) == (0, 0, 0, 0)
-        assert opposite_shape(idx((1, 3, 5, 7))) == (5, 4, 3, 2)
-
-    def test_rowwise_complement_of_partition(self):
-        for ctx in all_small_ctxs(8):
-            width = ctx.n - ctx.k
-            for v in enumerate_indices(ctx):
-                shape = opposite_shape(v)
-                parts = to_partition(v).parts
-                assert shape == tuple(width - p for p in parts)
-
-
 class TestValleys:
     def test_staircase(self):
         assert find_valleys(part((2, 3, 4, 5))) == (2, 3, 4)
@@ -165,8 +148,11 @@ class TestRemoveHook:
         assert remove_hook(part((2, 3, 4, 5)), valley).parts == expected
 
     def test_not_a_valley(self):
-        with pytest.raises(NotAValley):
-            remove_hook(part((2, 3, 4, 5)), 1)
+        # rows 0 and -1 would index from the end without the range check;
+        # row 0 compares parts[-1] = 5 with parts[-2] = 4 and looks valid
+        for row in (-1, 0, 1, 5):
+            with pytest.raises(NotAValley):
+                remove_hook(part((2, 3, 4, 5)), row)
         with pytest.raises(NotAValley):
             remove_hook(part((3, 3, 3, 3)), 2)
 
@@ -230,6 +216,3 @@ class TestRenderSkew:
                     assert len(lines) == ctx.k
                     assert all(len(line) == ctx.n - ctx.k for line in lines)
 
-    def test_inner_must_fit_outer(self):
-        with pytest.raises(GrassError):
-            SkewShape(outer=part((1, 1, 1, 1)), inner=part((0, 2, 2, 2)))

@@ -177,7 +177,7 @@ class TestRichardsonComponents:
             assert richardson_singular_components(rid) == ()
 
     def test_components_strictly_inside_and_unique(self):
-        for ctx in all_small_ctxs(8):
+        for ctx in all_small_ctxs(9):
             elems = enumerate_indices(ctx)
             for v in elems:
                 for w in elems:
@@ -185,6 +185,8 @@ class TestRichardsonComponents:
                         continue
                     comps = richardson_singular_components(RichardsonId(v, w))
                     assert len({c.pair for c in comps}) == len(comps)
+                    sides = [c.source for c in comps]
+                    assert sides == sorted(sides, key=[SCHUBERT_SIDE, OPPOSITE_SIDE].index)
                     for c in comps:
                         if c.source == SCHUBERT_SIDE:
                             assert c.pair.v == v
