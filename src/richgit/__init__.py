@@ -22,7 +22,6 @@ from .core import (
     indices_below,
     length,
     make_index,
-    richardson_contains,
     richardson_dim,
 )
 from .criteria import (
@@ -54,7 +53,6 @@ from .oracle import (
     PatternMismatch,
     VerifyReport,
     census,
-    containment_consistency_failures,
     default_contexts,
     hook_oracle_components,
     oracle_sweep,
@@ -101,7 +99,6 @@ __all__ = [
     "analyze",
     "census",
     "complement_index",
-    "containment_consistency_failures",
     "default_contexts",
     "enumerate_indices",
     "find_valleys",
@@ -117,7 +114,6 @@ __all__ = [
     "oracle_sweep",
     "remove_hook",
     "render_skew",
-    "richardson_contains",
     "richardson_dim",
     "richardson_singular_components",
     "schubert_singular_components",

@@ -90,11 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("census", help="sweep all semistable-admitting pairs")
     add_common(p, ("text", "json", "csv"))
-    p.add_argument(
-        "--full",
-        action="store_true",
-        help="also run the quadratic consistency sweep over all of I(k,n)^2",
-    )
 
     p = sub.add_parser("verify", help="cross-validation report over contexts")
     p.add_argument(
@@ -151,7 +146,7 @@ def _analysis_text(rep) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _census_text(rep, full: bool) -> str:
+def _census_text(rep) -> str:
     lines = [
         f"census of {rep.ctx}:",
         f"  total_pairs: {rep.total_pairs}",
@@ -160,8 +155,6 @@ def _census_text(rep, full: bool) -> str:
         f"  pattern mismatches: {len(rep.mismatches)}",
         f"  oracle mismatches: {len(rep.oracle_mismatches)}",
     ]
-    if full:
-        lines.append(f"  consistency failures: {len(rep.consistency_failures)}")
     for m in rep.mismatches:
         lines.append(
             f"    v={m.v} w={m.w} components={str(m.smooth_by_components).lower()} "
@@ -174,7 +167,7 @@ def _verify_text(rep) -> str:
     lines = []
     for c in rep.censuses:
         status = "ok"
-        if c.mismatches or c.oracle_mismatches or c.consistency_failures:
+        if c.mismatches or c.oracle_mismatches:
             status = (
                 f"{len(c.mismatches)} pattern / {len(c.oracle_mismatches)} oracle "
                 f"mismatch(es)"
@@ -267,8 +260,8 @@ def _execute(args: argparse.Namespace) -> tuple[int, str]:
         ctx = GrassCtx(args.k, args.n)
         if args.format == "csv":
             return 0, _census_csv(ctx)
-        rep = census(ctx, full=args.full)
-        out = to_json(rep.to_dict()) if args.format == "json" else _census_text(rep, args.full)
+        rep = census(ctx)
+        out = to_json(rep.to_dict()) if args.format == "json" else _census_text(rep)
         return 0, out
 
     if args.command == "verify":
@@ -288,8 +281,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
 
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(out)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(out)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(out)
     return code

@@ -47,7 +47,7 @@ class GrassCtx:
     n: int
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.k, int) and isinstance(self.n, int)):
+        if not (type(self.k) is int and type(self.n) is int):
             raise GrassError(f"k and n must be integers, got k={self.k!r} n={self.n!r}")
         if not 1 <= self.k < self.n:
             raise GrassError(f"need 1 <= k < n, got k={self.k} n={self.n}")
@@ -110,10 +110,15 @@ class GrassIndex:
 def make_index(values: Sequence[int], ctx: GrassCtx) -> GrassIndex:
     """Validated constructor for I(k,n) elements.
 
-    Raises WrongLength, NotStrictlyIncreasing or OutOfRange, naming the
+    Raises GrassError for an entry that is not an int (bools included),
+    then WrongLength, NotStrictlyIncreasing or OutOfRange, naming the
     first offending position.
     """
-    return GrassIndex(tuple(values), ctx)
+    entries = tuple(values)
+    for pos, e in enumerate(entries, start=1):
+        if type(e) is not int:
+            raise GrassError(f"entry {e!r} at position {pos} is not an integer")
+    return GrassIndex(entries, ctx)
 
 
 def enumerate_indices(ctx: GrassCtx) -> list[GrassIndex]:
@@ -151,13 +156,6 @@ class RichardsonId:
 
     def __str__(self) -> str:
         return f"X^{self.v}_{self.w}"
-
-
-def richardson_contains(inner: RichardsonId, outer: RichardsonId) -> bool:
-    """X^v1_w1 sits inside X^v2_w2 iff w1 <= w2 and v1 >= v2."""
-    if inner.ctx != outer.ctx:
-        raise ContextMismatch(f"cannot compare {inner.ctx} with {outer.ctx}")
-    return inner.w <= outer.w and inner.v >= outer.v
 
 
 def richardson_dim(rid: RichardsonId) -> int:

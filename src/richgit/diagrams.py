@@ -40,9 +40,6 @@ class BoxedPartition:
                 raise GrassError(f"row {i} has {p} boxes, fewer than row {i - 1}")
             prev = p
 
-    def boxes(self) -> int:
-        return sum(self.parts)
-
     def __str__(self) -> str:
         return "(" + ",".join(str(p) for p in self.parts) + ")"
 

@@ -10,9 +10,9 @@ against a closed form (the shortcut's b-clause plus the exact c-clause
 derived by hook removal), and checks that the census reports exactly the
 pairs where that closed form and the shortcut differ.  Criterion 9e
 checks that the gap a_i >= a_{i-1} + 2 holds exactly when n > 2k.  The
-component criterion is cross-validated independently (criterion 8, the
-containment consistency sweep, and the reference verdicts); the
-``verify`` report surfaces every disagreement of the shortcut.
+component criterion is cross-validated independently (criterion 8 and
+the reference verdicts); the ``verify`` report surfaces every
+disagreement of the shortcut.
 """
 
 import time

@@ -14,7 +14,6 @@ from richgit import (
     has_semistable,
     make_index,
     minimal_pair,
-    richardson_contains,
 )
 
 G49 = GrassCtx(4, 9)
@@ -85,19 +84,19 @@ class TestHasSemistable:
         assert has_semistable(rid((1, 3, 5, 7), (3, 5, 7, 9)), mp)
 
     def test_equivalent_to_minimal_containment(self):
-        # independent route: ss-nonempty iff the minimal pair sits inside
+        # independent route: X^{v_min}_{w_min} sits inside X^v_w iff every
+        # T-fixed point u of the former (v_min <= u <= w_min) satisfies
+        # v <= u <= w; the fixed points come from filtering I(k,n)
         for ctx in coprime_ctxs(9):
             mp = minimal_pair(ctx)
-            minimal_id = RichardsonId(mp.v_min, mp.w_min)
             elems = enumerate_indices(ctx)
+            fixed = [u for u in elems if mp.v_min <= u <= mp.w_min]
             for v in elems:
                 for w in elems:
                     if not v <= w:
                         continue
-                    pair = RichardsonId(v, w)
-                    assert has_semistable(pair, mp) == richardson_contains(
-                        minimal_id, pair
-                    )
+                    contained = all(v <= u <= w for u in fixed)
+                    assert has_semistable(RichardsonId(v, w), mp) == contained
 
 
 class TestSmoothByComponents:

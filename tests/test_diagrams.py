@@ -182,7 +182,7 @@ class TestRemoveHook:
                     i = boundaries[valley]
                     (pi, qi), (pnext, _) = rl[i], rl[i + 1]
                     assert len(removed) == qi + (pnext - pi) + 1
-                    assert p.boxes() - q.boxes() == len(removed)
+                    assert sum(p.parts) - sum(q.parts) == len(removed)
                     column = {(t, pi) for t in range(valley - qi, valley)}
                     tail = {(valley, c) for c in range(pi, pnext + 1)}
                     assert removed == column | tail

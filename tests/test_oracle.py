@@ -6,7 +6,6 @@ from richgit import (
     GrassCtx,
     NotCoprime,
     census,
-    containment_consistency_failures,
     default_contexts,
     enumerate_indices,
     hook_oracle_components,
@@ -81,12 +80,6 @@ class TestCensus:
             assert indices_above(mp.w_min) == above
             rep = census(ctx)
             assert rep.total_pairs == len(below) * len(above)
-
-    def test_full_consistency_sweep(self):
-        for ctx in (GrassCtx(2, 5), GrassCtx(3, 7), G49):
-            assert containment_consistency_failures(ctx) == ()
-            rep = census(ctx, full=True)
-            assert rep.consistency_failures == ()
 
     def test_erratum_notes_present(self):
         rep = census(G49)
