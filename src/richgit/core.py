@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
+from operator import le
 from typing import Sequence
 
 
@@ -71,6 +72,10 @@ class GrassIndex:
     Comparisons between indices use the Bruhat (componentwise) order and
     raise ContextMismatch when the contexts differ; the order is partial,
     so ``not a <= b`` does not imply ``b <= a``.
+
+    Construction validates the entries.  Indices the library derives from
+    valid ones (enumeration, partitions, complements, hook removal) are
+    built by _index instead, which skips that check.
     """
 
     entries: tuple[int, ...]
@@ -92,19 +97,24 @@ class GrassIndex:
                 )
             prev = e
 
-    def _check_ctx(self, other: "GrassIndex") -> None:
-        if self.ctx != other.ctx:
-            raise ContextMismatch(f"cannot compare {self.ctx} with {other.ctx}")
-
     def __le__(self, other: "GrassIndex") -> bool:
-        self._check_ctx(other)
-        return all(a <= b for a, b in zip(self.entries, other.entries))
+        if self.ctx is not other.ctx and self.ctx != other.ctx:
+            raise ContextMismatch(f"cannot compare {self.ctx} with {other.ctx}")
+        return all(map(le, self.entries, other.entries))
 
     def __ge__(self, other: "GrassIndex") -> bool:
         return other.__le__(self)
 
     def __str__(self) -> str:
         return fmt_tuple(self.entries)
+
+
+def _index(entries: tuple[int, ...], ctx: GrassCtx) -> GrassIndex:
+    """GrassIndex without validation, for entries derived from valid ones."""
+    idx = object.__new__(GrassIndex)
+    object.__setattr__(idx, "entries", entries)
+    object.__setattr__(idx, "ctx", ctx)
+    return idx
 
 
 def make_index(values: Sequence[int], ctx: GrassCtx) -> GrassIndex:
@@ -123,14 +133,13 @@ def make_index(values: Sequence[int], ctx: GrassCtx) -> GrassIndex:
 
 def enumerate_indices(ctx: GrassCtx) -> list[GrassIndex]:
     """All C(n,k) elements of I(k,n) in lexicographic order."""
-    return [
-        GrassIndex(c, ctx) for c in combinations(range(1, ctx.n + 1), ctx.k)
-    ]
+    return [_index(c, ctx) for c in combinations(range(1, ctx.n + 1), ctx.k)]
 
 
 def length(w: GrassIndex) -> int:
     """Dimension of the Schubert variety X(w): the box count of its diagram."""
-    return sum(e - i for i, e in enumerate(w.entries, start=1))
+    k = len(w.entries)
+    return sum(w.entries) - k * (k + 1) // 2
 
 
 @dataclass(frozen=True)
@@ -158,6 +167,14 @@ class RichardsonId:
         return f"X^{self.v}_{self.w}"
 
 
+def _richardson(v: GrassIndex, w: GrassIndex) -> RichardsonId:
+    """RichardsonId without validation, for a pair already known to have v <= w."""
+    rid = object.__new__(RichardsonId)
+    object.__setattr__(rid, "v", v)
+    object.__setattr__(rid, "w", w)
+    return rid
+
+
 def richardson_dim(rid: RichardsonId) -> int:
     """dim X^v_w = length(w) - length(v); zero exactly when v = w."""
     return length(rid.w) - length(rid.v)
@@ -170,7 +187,7 @@ def indices_below(bound: GrassIndex) -> list[GrassIndex]:
 
     def rec(pos: int, prev: int, acc: tuple[int, ...]) -> None:
         if pos == k:
-            out.append(GrassIndex(acc, bound.ctx))
+            out.append(_index(acc, bound.ctx))
             return
         for x in range(prev + 1, bound.entries[pos] + 1):
             rec(pos + 1, x, acc + (x,))
@@ -186,7 +203,7 @@ def indices_above(bound: GrassIndex) -> list[GrassIndex]:
 
     def rec(pos: int, prev: int, acc: tuple[int, ...]) -> None:
         if pos == k:
-            out.append(GrassIndex(acc, bound.ctx))
+            out.append(_index(acc, bound.ctx))
             return
         lo = max(prev + 1, bound.entries[pos])
         hi = n - (k - pos - 1)

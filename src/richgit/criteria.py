@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import le
 from typing import Sequence
 
 from .core import (
@@ -30,7 +31,7 @@ from .core import (
     make_index,
     richardson_dim,
 )
-from .singular import richardson_singular_components
+from .singular import CACHE_SIZE, richardson_singular_components
 
 EMPTY_QUOTIENT = "EMPTY_QUOTIENT"
 SMOOTH = "SMOOTH"
@@ -54,7 +55,7 @@ class MinimalPair:
     a: tuple[int, ...]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def minimal_pair(ctx: GrassCtx) -> MinimalPair:
     """Compute (w_min, v_min) for a coprime context; raises NotCoprime otherwise."""
     if not ctx.coprime():
@@ -72,7 +73,12 @@ def has_semistable(rid: RichardsonId, mp: MinimalPair) -> bool:
     """True iff X^v_w admits semistable points: v <= v_min and w >= w_min."""
     if rid.ctx != mp.ctx:
         raise ContextMismatch(f"pair is from {rid.ctx}, minimal pair from {mp.ctx}")
-    return rid.v <= mp.v_min and rid.w >= mp.w_min
+    return _semistable(rid, mp.v_min.entries, mp.w_min.entries)
+
+
+def _semistable(rid: RichardsonId, v_min: tuple[int, ...], w_min: tuple[int, ...]) -> bool:
+    """has_semistable on entry tuples, for a pair already known to share mp's context."""
+    return all(map(le, rid.v.entries, v_min)) and all(map(le, w_min, rid.w.entries))
 
 
 def _smooth_by_pattern(rid: RichardsonId, mp: MinimalPair) -> bool:
@@ -159,19 +165,24 @@ def analyze(
     """Analyze the pair (v, w): semistability, singular components, verdict.
 
     Raises NotCoprime for gcd(k, n) > 1, the make_index errors for invalid
-    tuples, and EmptyRichardson when v is not below w.
+    tuples, EmptyRichardson when v is not below w, and ContextMismatch when
+    a prebuilt GrassIndex belongs to another context.  Those are the only
+    checks: every value derived from the pair afterwards is trusted.
     """
     mp = minimal_pair(ctx)
     vi = v if isinstance(v, GrassIndex) else make_index(v, ctx)
     wi = w if isinstance(w, GrassIndex) else make_index(w, ctx)
     rid = RichardsonId(vi, wi)
+    if rid.ctx is not ctx and rid.ctx != ctx:
+        raise ContextMismatch(f"pair is from {rid.ctx}, minimal pair from {mp.ctx}")
 
-    ss = has_semistable(rid, mp)
+    v_min, w_min = mp.v_min.entries, mp.w_min.entries
+    ss = _semistable(rid, v_min, w_min)
     components = tuple(
         ComponentReport(
             pair=comp.pair,
             source=comp.source,
-            has_semistable=has_semistable(comp.pair, mp),
+            has_semistable=_semistable(comp.pair, v_min, w_min),
         )
         for comp in richardson_singular_components(rid)
     )

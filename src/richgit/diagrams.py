@@ -4,6 +4,9 @@ An index w in I(k,n) corresponds to the weakly increasing part sequence
 (w_1 - 1, ..., w_k - k); row i (counted from the bottom, 1-based) of the
 Young diagram holds parts[i] left-justified boxes.  That single internal
 convention is used everywhere; rendering flips rows only at output time.
+Valleys and hook removal are read off the entries of the index directly
+(_valleys, _remove_hook), so the singular-locus code needs no partition;
+find_valleys and remove_hook are their partition-level forms.
 
 Opposite diagrams (the right-anchored complements of ordinary diagrams)
 are never manipulated directly: every opposite-side computation routes
@@ -13,8 +16,9 @@ through complement_index and the ordinary machinery.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
-from .core import GrassCtx, GrassError, GrassIndex, RichardsonId
+from .core import GrassCtx, GrassError, GrassIndex, RichardsonId, _index
 
 
 class NotAValley(GrassError):
@@ -44,18 +48,22 @@ class BoxedPartition:
         return "(" + ",".join(str(p) for p in self.parts) + ")"
 
 
+def _partition(parts: tuple[int, ...], ctx: GrassCtx) -> BoxedPartition:
+    """BoxedPartition without validation, for parts derived from valid ones."""
+    p = object.__new__(BoxedPartition)
+    object.__setattr__(p, "parts", parts)
+    object.__setattr__(p, "ctx", ctx)
+    return p
+
+
 def to_partition(w: GrassIndex) -> BoxedPartition:
     """Part sequence of the diagram of X(w): row i holds w_i - i boxes."""
-    return BoxedPartition(
-        tuple(e - i for i, e in enumerate(w.entries, start=1)), w.ctx
-    )
+    return _partition(tuple(e - i for i, e in enumerate(w.entries, start=1)), w.ctx)
 
 
 def from_partition(p: BoxedPartition) -> GrassIndex:
     """Inverse of to_partition: entry i is parts[i] + i."""
-    return GrassIndex(
-        tuple(part + i for i, part in enumerate(p.parts, start=1)), p.ctx
-    )
+    return _index(tuple(part + i for i, part in enumerate(p.parts, start=1)), p.ctx)
 
 
 def complement_index(v: GrassIndex) -> GrassIndex:
@@ -68,7 +76,33 @@ def complement_index(v: GrassIndex) -> GrassIndex:
     is computed here.
     """
     n = v.ctx.n
-    return GrassIndex(tuple(n + 1 - e for e in reversed(v.entries)), v.ctx)
+    return _index(tuple(n + 1 - e for e in reversed(v.entries)), v.ctx)
+
+
+def _valleys(w: tuple[int, ...]) -> Iterator[tuple[int, int]]:
+    """Valleys of the diagram of the index with entries w, bottom first.
+
+    Yields 0-based (j, s) for each row j holding a valley.  Equal rows of
+    the diagram are runs of consecutive entries, so row j is longer than
+    row j-1 exactly when w_j > w_{j-1} + 1, and row j-1 holds a box
+    exactly when w_{j-1} > j.  Rows s..j-1 form the run just below row j.
+    """
+    s = 0
+    for j in range(1, len(w)):
+        if w[j] > w[j - 1] + 1:
+            if w[j - 1] > j:
+                yield j, s
+            s = j
+
+
+def _remove_hook(w: tuple[int, ...], j: int, s: int) -> tuple[int, ...]:
+    """Entries after removing the hook through the valley (j, s) of _valleys.
+
+    Rows s..j-1 drop by one box and row j drops to their new length, so
+    entries s..j become the consecutive run w_s - 1, ..., w_{j-1}: the
+    entry w_j leaves and w_s - 1 enters.
+    """
+    return w[:s] + (w[s] - 1,) + w[s:j] + w[j + 1 :]
 
 
 def find_valleys(p: BoxedPartition) -> tuple[int, ...]:
@@ -78,11 +112,7 @@ def find_valleys(p: BoxedPartition) -> tuple[int, ...]:
     southeast; row j carries one exactly when parts[j] > parts[j-1] >= 1,
     i.e. at each boundary between two nonzero runs.
     """
-    return tuple(
-        j
-        for j in range(2, len(p.parts) + 1)
-        if p.parts[j - 1] > p.parts[j - 2] >= 1
-    )
+    return tuple(j + 1 for j, _ in _valleys(from_partition(p).entries))
 
 
 def remove_hook(p: BoxedPartition, valley_row: int) -> BoxedPartition:
@@ -93,22 +123,11 @@ def remove_hook(p: BoxedPartition, valley_row: int) -> BoxedPartition:
     is unchanged.  In run-length terms (p_i^{q_i}, p_{i+1}^{q_{i+1}}, ...)
     around the valley becomes ((p_i - 1)^{q_i + 1}, p_{i+1}^{q_{i+1}-1}, ...).
     """
-    if not (
-        2 <= valley_row <= len(p.parts)
-        and p.parts[valley_row - 1] > p.parts[valley_row - 2] >= 1
-    ):
-        raise NotAValley(f"row {valley_row} of {p} is not a valley")
-    j0 = valley_row - 1
-    below = p.parts[j0 - 1]
-    start = j0 - 1
-    while start > 0 and p.parts[start - 1] == below:
-        start -= 1
-    parts = (
-        p.parts[:start]
-        + (below - 1,) * (j0 - start + 1)
-        + p.parts[j0 + 1 :]
-    )
-    return BoxedPartition(parts, p.ctx)
+    w = from_partition(p).entries
+    for j, s in _valleys(w):
+        if j + 1 == valley_row:
+            return to_partition(_index(_remove_hook(w, j, s), p.ctx))
+    raise NotAValley(f"row {valley_row} of {p} is not a valley")
 
 
 def render_skew(rid: RichardsonId) -> str:

@@ -1,11 +1,13 @@
 """Irreducible components of singular loci.
 
 Schubert side: one component per valley of the Young diagram of w, got by
-removing the hook through that valley (diagrams.remove_hook).  In terms
-of the part sequence (p_1^{q_1}, ..., p_r^{q_r}) of X(w) this is the
-classical run-length substitution: the r - 1 components replace the
-adjacent runs p_i^{q_i}, p_{i+1}^{q_{i+1}} with
-(p_i - 1)^{q_i + 1}, p_{i+1}^{q_{i+1} - 1}.
+removing the hook through that valley.  In terms of the part sequence
+(p_1^{q_1}, ..., p_r^{q_r}) of X(w) this is the classical run-length
+substitution: the r - 1 components replace the adjacent runs
+p_i^{q_i}, p_{i+1}^{q_{i+1}} with (p_i - 1)^{q_i + 1}, p_{i+1}^{q_{i+1} - 1}.
+It is computed on the entries of w (diagrams._remove_hook, which
+diagrams.remove_hook also uses): the entry of the valley row leaves and
+one less than the first entry of the run below it enters.
 
 Opposite side: X^v is isomorphic to X(v') for the complemented index, so
 its components are the complements of the Schubert-side components of v'.
@@ -21,17 +23,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .core import GrassIndex, RichardsonId
-from .diagrams import (
-    complement_index,
-    find_valleys,
-    from_partition,
-    remove_hook,
-    to_partition,
-)
+from .core import GrassIndex, RichardsonId, _index, _richardson
+from .diagrams import _remove_hook, _valleys, complement_index
 
 SCHUBERT_SIDE = "SCHUBERT_SIDE"
 OPPOSITE_SIDE = "OPPOSITE_SIDE"
+
+# Entries kept by each lru cache of the library (here and minimal_pair).
+# A default verify fills 4,568 Schubert-side entries and 6,000 random
+# analyze calls in G(7,16)..G(11,24) about 7,100, so neither evicts;
+# larger sweeps evict instead of growing without bound.
+CACHE_SIZE = 2**16
 
 
 @dataclass(frozen=True)
@@ -42,18 +44,18 @@ class SingularComponent:
     source: str
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def schubert_singular_components(w: GrassIndex) -> tuple[GrassIndex, ...]:
     """Indices of the r - 1 singular-locus components of X(w).
 
     Empty when the part sequence has at most one nonzero run (X(w) smooth).
     Components are ordered by the valley they remove, bottom row first.
     """
-    p = to_partition(w)
-    return tuple(from_partition(remove_hook(p, j)) for j in find_valleys(p))
+    e, ctx = w.entries, w.ctx
+    return tuple(_index(_remove_hook(e, j, s), ctx) for j, s in _valleys(e))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def opposite_singular_components(v: GrassIndex) -> tuple[GrassIndex, ...]:
     """Indices v' of the singular-locus components X^{v'} of X^v."""
     return tuple(
@@ -73,14 +75,15 @@ def richardson_singular_components(
     the w' are distinct (one per valley) and strictly below w, and the v'
     are distinct (complements of distinct indices) while keeping w.
     """
+    v, w = rid.v, rid.w
     schubert = tuple(
-        SingularComponent(RichardsonId(rid.v, w2), SCHUBERT_SIDE)
-        for w2 in schubert_singular_components(rid.w)
-        if rid.v <= w2
+        SingularComponent(_richardson(v, w2), SCHUBERT_SIDE)
+        for w2 in schubert_singular_components(w)
+        if v <= w2
     )
     opposite = tuple(
-        SingularComponent(RichardsonId(v2, rid.w), OPPOSITE_SIDE)
-        for v2 in opposite_singular_components(rid.v)
-        if v2 <= rid.w
+        SingularComponent(_richardson(v2, w), OPPOSITE_SIDE)
+        for v2 in opposite_singular_components(v)
+        if v2 <= w
     )
     return schubert + opposite

@@ -1,0 +1,200 @@
+"""Validation at the boundary, trust inside.
+
+Values enter the library through make_index, the direct GrassIndex /
+RichardsonId / BoxedPartition constructors, the CLI, and analyze on raw
+sequences or on prebuilt indices of its context; each of those checks
+its input.  Everything the library derives from a checked value is built
+without a second check, so every derived value must be one that the
+checks accept.  Both halves are pinned here.
+"""
+
+from math import gcd
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from richgit import (
+    BoxedPartition,
+    ContextMismatch,
+    GrassCtx,
+    GrassError,
+    GrassIndex,
+    NotStrictlyIncreasing,
+    OutOfRange,
+    RichardsonId,
+    WrongLength,
+    analyze,
+    complement_index,
+    enumerate_indices,
+    find_valleys,
+    from_partition,
+    has_semistable,
+    hook_oracle_components,
+    indices_above,
+    indices_below,
+    make_index,
+    minimal_pair,
+    opposite_singular_components,
+    remove_hook,
+    richardson_singular_components,
+    schubert_singular_components,
+    to_partition,
+)
+
+G25 = GrassCtx(2, 5)
+
+
+class TestBoundaryChecks:
+    @pytest.mark.parametrize(
+        "values, ctx, target",
+        [
+            # another k: tuple compares against the minimal pair would overrun
+            (((1, 2), (3, 5)), G25, GrassCtx(3, 7)),
+            # same k, another n: tuple compares would run without any error
+            (((1, 2), (3, 5)), G25, GrassCtx(2, 7)),
+            # and here they would even call the pair admissible in G(2,7)
+            (((1, 2), (4, 7)), GrassCtx(2, 9), GrassCtx(2, 7)),
+        ],
+    )
+    def test_analyze_rejects_prebuilt_indices_of_another_context(
+        self, values, ctx, target
+    ):
+        v, w = (make_index(x, ctx) for x in values)
+        with pytest.raises(ContextMismatch):
+            analyze(v, w, target)
+
+    def test_analyze_rejects_one_foreign_prebuilt_index(self):
+        with pytest.raises(ContextMismatch):
+            analyze(make_index((1, 2), G25), (4, 7), GrassCtx(2, 7))
+        with pytest.raises(ContextMismatch):
+            analyze((1, 2), make_index((3, 5), G25), GrassCtx(2, 7))
+
+    def test_equal_but_distinct_contexts_compare_normally(self):
+        ctxs = [GrassCtx(4, 9) for _ in range(3)]
+        assert ctxs[0] is not ctxs[1] and ctxs[0] == ctxs[1]
+        v = make_index((1, 3, 4, 6), ctxs[0])
+        w = make_index((5, 7, 8, 9), ctxs[1])
+        assert v <= w and not w <= v
+        prebuilt = analyze(v, w, ctxs[2]).to_dict()
+        assert prebuilt == analyze((1, 3, 4, 6), (5, 7, 8, 9), GrassCtx(4, 9)).to_dict()
+        assert prebuilt["verdict"] == "SINGULAR"
+
+    @pytest.mark.parametrize(
+        "build, error",
+        [
+            (lambda: GrassIndex((1, 2, 3), G25), WrongLength),
+            (lambda: GrassIndex((2, 2), G25), NotStrictlyIncreasing),
+            (lambda: GrassIndex((0, 2), G25), OutOfRange),
+            (lambda: GrassIndex((1, 6), G25), OutOfRange),
+            (lambda: BoxedPartition((0,), G25), GrassError),
+            (
+                lambda: RichardsonId(
+                    make_index((1, 2), G25), make_index((3, 5), GrassCtx(2, 7))
+                ),
+                ContextMismatch,
+            ),
+            (
+                lambda: has_semistable(
+                    RichardsonId(make_index((1, 2), G25), make_index((3, 5), G25)),
+                    minimal_pair(GrassCtx(2, 7)),
+                ),
+                ContextMismatch,
+            ),
+        ],
+    )
+    def test_public_constructors_still_validate(self, build, error):
+        # the remaining boundary checks are pinned in test_core/test_diagrams/test_cli
+        with pytest.raises(error):
+            build()
+
+
+def check_index(x, ctx):
+    assert make_index(x.entries, ctx) == x
+
+
+def check_partition(p, ctx):
+    assert type(p.parts) is tuple
+    assert BoxedPartition(p.parts, ctx) == p
+
+
+def check_pair(r, ctx):
+    check_index(r.v, ctx)
+    check_index(r.w, ctx)
+    assert RichardsonId(r.v, r.w) == r
+
+
+def check_derived(w):
+    """Every value the library derives from one index passes validation."""
+    ctx = w.ctx
+    check_index(complement_index(w), ctx)
+    p = to_partition(w)
+    check_partition(p, ctx)
+    assert from_partition(p) == w
+    for row in find_valleys(p):
+        check_partition(remove_hook(p, row), ctx)
+    for c in schubert_singular_components(w):
+        check_index(c, ctx)
+    for c in opposite_singular_components(w):
+        check_index(c, ctx)
+
+
+def check_pair_components(v, w):
+    for comp in richardson_singular_components(RichardsonId(v, w)):
+        check_pair(comp.pair, v.ctx)
+
+
+class TestTrustedConstruction:
+    def test_exhaustive_small(self):
+        for n in range(2, 11):
+            for k in range(1, n):
+                ctx = GrassCtx(k, n)
+                for w in enumerate_indices(ctx):
+                    check_index(w, ctx)
+                    check_derived(w)
+                if gcd(k, n) == 1:
+                    mp = minimal_pair(ctx)
+                    for bound in (mp.v_min, mp.w_min):
+                        for x in indices_below(bound) + indices_above(bound):
+                            check_index(x, ctx)
+                    if n <= 8:
+                        elems = enumerate_indices(ctx)
+                        for v in elems:
+                            for w in elems:
+                                if v <= w:
+                                    check_pair_components(v, w)
+
+
+@st.composite
+def index_pairs(draw, max_n=30):
+    """Two indices (v, w) with v <= w in a random G(k, n), n <= max_n."""
+    n = draw(st.integers(2, max_n))
+    k = draw(st.integers(1, n - 1))
+    ctx = GrassCtx(k, n)
+    a = sorted(draw(st.permutations(range(1, n + 1)))[:k])
+    b = sorted(draw(st.permutations(range(1, n + 1)))[:k])
+    return (
+        make_index(tuple(map(min, a, b)), ctx),
+        make_index(tuple(map(max, a, b)), ctx),
+    )
+
+
+PROPERTY_SETTINGS = settings(
+    max_examples=300, deadline=None, derandomize=True, database=None
+)
+
+
+class TestTrustedConstructionRandom:
+    @PROPERTY_SETTINGS
+    @given(index_pairs())
+    def test_derived_values_validate(self, pair):
+        v, w = pair
+        check_derived(v)
+        check_derived(w)
+        check_pair_components(v, w)
+
+    @PROPERTY_SETTINGS
+    @given(index_pairs())
+    def test_hook_removal_matches_cell_set_oracle(self, pair):
+        for x in pair:
+            assert frozenset(schubert_singular_components(x)) == hook_oracle_components(x)

@@ -1,6 +1,9 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -228,3 +231,23 @@ def test_smoke_golden_bytes(capsys, name):
     assert code == golden["exit"]
     assert len(data) == golden["bytes"]
     assert hashlib.sha256(data).hexdigest() == golden["sha256"]
+
+
+def test_tracer_output_matches_untraced(capsys, tmp_path):
+    # perfbench/trace_child.py patches GrassIndex.__post_init__/__le__ by name
+    # and wraps the public functions; a rename would break the traced run
+    root = Path(__file__).parent.parent
+    argv = ["census", "-k", "3", "-n", "8", "--format", "json"]
+    code, out, _ = run_cli(capsys, *argv)
+    traced = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "trace_child.py"), str(tmp_path / "trace"), "cli", *argv],
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True,
+        timeout=300,
+    )
+    assert code == 0
+    assert traced.returncode == 0, traced.stderr.decode()
+    assert traced.stdout == out.encode("utf-8")
+    counts = json.loads((tmp_path / "trace.json").read_text())["counts"]
+    assert counts["core.index_validations"] > 0
+    assert counts["core.bruhat_cmp"] > 0

@@ -1,3 +1,5 @@
+import hashlib
+import json
 from math import gcd
 
 import pytest
@@ -117,7 +119,27 @@ class TestSmoothByPattern:
         assert rep.smooth_by_components == rep.smooth_by_pattern is True
 
 
+# sha256 of json.dumps(analyze(v, w, ctx).to_dict(), sort_keys=True), concatenated
+# over every pair v <= w, in enumeration order, of every coprime context with
+# n <= 9: pins component lists, component flags and dimensions, not only verdicts
+ANALYZE_DIGEST_N9 = "cee34a1ace0727b537f4e08e96f77e480c461af82f30aed4459bdffe8b31a1c8"
+
+
 class TestAnalyze:
+    def test_golden_digest(self):
+        digest = hashlib.sha256()
+        pairs = 0
+        for ctx in coprime_ctxs(9):
+            elems = enumerate_indices(ctx)
+            for v in elems:
+                for w in elems:
+                    if v <= w:
+                        doc = json.dumps(analyze(v, w, ctx).to_dict(), sort_keys=True)
+                        digest.update(doc.encode())
+                        pairs += 1
+        assert pairs == 15813
+        assert digest.hexdigest() == ANALYZE_DIGEST_N9
+
     def test_reference_verdicts(self):
         assert analyze((1, 3, 5, 7), (3, 5, 7, 9), G49).verdict == SMOOTH
         assert analyze((1, 2, 6, 7), (3, 6, 7, 9), G49).verdict == EMPTY_QUOTIENT

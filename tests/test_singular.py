@@ -1,5 +1,7 @@
 from itertools import groupby
 
+import pytest
+
 from richgit import (
     OPPOSITE_SIDE,
     SCHUBERT_SIDE,
@@ -10,6 +12,7 @@ from richgit import (
     find_valleys,
     length,
     make_index,
+    minimal_pair,
     opposite_singular_components,
     richardson_singular_components,
     schubert_singular_components,
@@ -194,3 +197,12 @@ class TestRichardsonComponents:
                         else:
                             assert c.pair.w == w
                             assert v <= c.pair.v and c.pair.v != v
+
+
+@pytest.mark.parametrize(
+    "cached",
+    [schubert_singular_components, opposite_singular_components, minimal_pair],
+)
+def test_caches_are_bounded(cached):
+    maxsize = cached.cache_info().maxsize
+    assert maxsize is not None and 0 < maxsize <= 2**16
