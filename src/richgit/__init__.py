@@ -38,11 +38,8 @@ from .criteria import (
 )
 from .diagrams import (
     BoxedPartition,
-    NotAValley,
     complement_index,
-    find_valleys,
     from_partition,
-    remove_hook,
     render_skew,
     to_partition,
 )
@@ -82,7 +79,6 @@ __all__ = [
     "GrassError",
     "GrassIndex",
     "MinimalPair",
-    "NotAValley",
     "NotCoprime",
     "NotStrictlyIncreasing",
     "OPPOSITE_SIDE",
@@ -101,7 +97,6 @@ __all__ = [
     "complement_index",
     "default_contexts",
     "enumerate_indices",
-    "find_valleys",
     "from_partition",
     "has_semistable",
     "hook_oracle_components",
@@ -112,7 +107,6 @@ __all__ = [
     "minimal_pair",
     "opposite_singular_components",
     "oracle_sweep",
-    "remove_hook",
     "render_skew",
     "richardson_dim",
     "richardson_singular_components",

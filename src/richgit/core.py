@@ -73,15 +73,21 @@ class GrassIndex:
     raise ContextMismatch when the contexts differ; the order is partial,
     so ``not a <= b`` does not imply ``b <= a``.
 
-    Construction validates the entries.  Indices the library derives from
-    valid ones (enumeration, partitions, complements, hook removal) are
-    built by _index instead, which skips that check.
+    Construction validates the entries: a tuple of ints (bools rejected),
+    then length, range and strict increase.  Indices the library derives
+    from valid ones (enumeration, partitions, complements, hook removal)
+    are built by _index instead, which skips that check.
     """
 
     entries: tuple[int, ...]
     ctx: GrassCtx
 
     def __post_init__(self) -> None:
+        if type(self.entries) is not tuple:
+            raise GrassError(f"entries must be a tuple, not {type(self.entries).__name__}")
+        for pos, e in enumerate(self.entries, start=1):
+            if type(e) is not int:
+                raise GrassError(f"entry {e!r} at position {pos} is not an integer")
         k, n = self.ctx.k, self.ctx.n
         if len(self.entries) != k:
             raise WrongLength(
@@ -124,11 +130,7 @@ def make_index(values: Sequence[int], ctx: GrassCtx) -> GrassIndex:
     then WrongLength, NotStrictlyIncreasing or OutOfRange, naming the
     first offending position.
     """
-    entries = tuple(values)
-    for pos, e in enumerate(entries, start=1):
-        if type(e) is not int:
-            raise GrassError(f"entry {e!r} at position {pos} is not an integer")
-    return GrassIndex(entries, ctx)
+    return GrassIndex(tuple(values), ctx)
 
 
 def enumerate_indices(ctx: GrassCtx) -> list[GrassIndex]:
@@ -180,35 +182,28 @@ def richardson_dim(rid: RichardsonId) -> int:
     return length(rid.w) - length(rid.v)
 
 
-def indices_below(bound: GrassIndex) -> list[GrassIndex]:
-    """All a in I(k,n) with a <= bound, in lexicographic order."""
-    k = bound.ctx.k
+def _interval(lo: tuple[int, ...], hi: tuple[int, ...], ctx: GrassCtx) -> list[GrassIndex]:
+    """All strictly increasing a with lo_i <= a_i <= hi_i, in lexicographic order."""
+    k = len(lo)
     out: list[GrassIndex] = []
 
     def rec(pos: int, prev: int, acc: tuple[int, ...]) -> None:
         if pos == k:
-            out.append(_index(acc, bound.ctx))
+            out.append(_index(acc, ctx))
             return
-        for x in range(prev + 1, bound.entries[pos] + 1):
+        for x in range(max(prev + 1, lo[pos]), hi[pos] + 1):
             rec(pos + 1, x, acc + (x,))
 
     rec(0, 0, ())
     return out
+
+
+def indices_below(bound: GrassIndex) -> list[GrassIndex]:
+    """All a in I(k,n) with a <= bound, in lexicographic order."""
+    return _interval(tuple(range(1, bound.ctx.k + 1)), bound.entries, bound.ctx)
 
 
 def indices_above(bound: GrassIndex) -> list[GrassIndex]:
     """All a in I(k,n) with a >= bound, in lexicographic order."""
     k, n = bound.ctx.k, bound.ctx.n
-    out: list[GrassIndex] = []
-
-    def rec(pos: int, prev: int, acc: tuple[int, ...]) -> None:
-        if pos == k:
-            out.append(_index(acc, bound.ctx))
-            return
-        lo = max(prev + 1, bound.entries[pos])
-        hi = n - (k - pos - 1)
-        for x in range(lo, hi + 1):
-            rec(pos + 1, x, acc + (x,))
-
-    rec(0, 0, ())
-    return out
+    return _interval(bound.entries, tuple(range(n - k + 1, n + 1)), bound.ctx)

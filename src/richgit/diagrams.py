@@ -6,7 +6,7 @@ Young diagram holds parts[i] left-justified boxes.  That single internal
 convention is used everywhere; rendering flips rows only at output time.
 Valleys and hook removal are read off the entries of the index directly
 (_valleys, _remove_hook), so the singular-locus code needs no partition;
-find_valleys and remove_hook are their partition-level forms.
+singular.schubert_singular_components is their public form.
 
 Opposite diagrams (the right-anchored complements of ordinary diagrams)
 are never manipulated directly: every opposite-side computation routes
@@ -21,10 +21,6 @@ from typing import Iterator
 from .core import GrassCtx, GrassError, GrassIndex, RichardsonId, _index
 
 
-class NotAValley(GrassError):
-    """Hook removal was requested at a row that is not a valley."""
-
-
 @dataclass(frozen=True)
 class BoxedPartition:
     """Row lengths of a Young diagram, bottom row first, weakly increasing."""
@@ -33,6 +29,11 @@ class BoxedPartition:
     ctx: GrassCtx
 
     def __post_init__(self) -> None:
+        if type(self.parts) is not tuple:
+            raise GrassError(f"parts must be a tuple, not {type(self.parts).__name__}")
+        for i, p in enumerate(self.parts, start=1):
+            if type(p) is not int:
+                raise GrassError(f"row {i} has {p!r} boxes, not an integer")
         k, width = self.ctx.k, self.ctx.n - self.ctx.k
         if len(self.parts) != k:
             raise GrassError(f"expected {k} rows for {self.ctx}, got {len(self.parts)}")
@@ -82,10 +83,12 @@ def complement_index(v: GrassIndex) -> GrassIndex:
 def _valleys(w: tuple[int, ...]) -> Iterator[tuple[int, int]]:
     """Valleys of the diagram of the index with entries w, bottom first.
 
-    Yields 0-based (j, s) for each row j holding a valley.  Equal rows of
-    the diagram are runs of consecutive entries, so row j is longer than
-    row j-1 exactly when w_j > w_{j-1} + 1, and row j-1 holds a box
-    exactly when w_{j-1} > j.  Rows s..j-1 form the run just below row j.
+    A valley is a box with boxes to its south and east but none to its
+    southeast.  Yields 0-based (j, s) for each row j holding one.  Equal
+    rows of the diagram are runs of consecutive entries, so row j is
+    longer than row j-1 exactly when w_j > w_{j-1} + 1, and row j-1 holds
+    a box exactly when w_{j-1} > j.  Rows s..j-1 form the run just below
+    row j.
     """
     s = 0
     for j in range(1, len(w)):
@@ -103,31 +106,6 @@ def _remove_hook(w: tuple[int, ...], j: int, s: int) -> tuple[int, ...]:
     entry w_j leaves and w_s - 1 enters.
     """
     return w[:s] + (w[s] - 1,) + w[s:j] + w[j + 1 :]
-
-
-def find_valleys(p: BoxedPartition) -> tuple[int, ...]:
-    """Rows j (1-based, from the bottom) holding a valley of the diagram.
-
-    A valley is a box with boxes to its south and east but none to its
-    southeast; row j carries one exactly when parts[j] > parts[j-1] >= 1,
-    i.e. at each boundary between two nonzero runs.
-    """
-    return tuple(j + 1 for j, _ in _valleys(from_partition(p).entries))
-
-
-def remove_hook(p: BoxedPartition, valley_row: int) -> BoxedPartition:
-    """Remove the hook through the valley at valley_row (two peaks + valley).
-
-    The run of rows ending just below the valley drops by one box each,
-    the valley row drops to that same shorter value, and every other row
-    is unchanged.  In run-length terms (p_i^{q_i}, p_{i+1}^{q_{i+1}}, ...)
-    around the valley becomes ((p_i - 1)^{q_i + 1}, p_{i+1}^{q_{i+1}-1}, ...).
-    """
-    w = from_partition(p).entries
-    for j, s in _valleys(w):
-        if j + 1 == valley_row:
-            return to_partition(_index(_remove_hook(w, j, s), p.ctx))
-    raise NotAValley(f"row {valley_row} of {p} is not a valley")
 
 
 def render_skew(rid: RichardsonId) -> str:

@@ -15,11 +15,13 @@ verify aggregates censuses over a context list (default: all coprime
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from math import gcd
 from typing import Iterator
 
 from .core import (
     GrassCtx,
+    GrassError,
     GrassIndex,
     enumerate_indices,
     indices_above,
@@ -162,13 +164,39 @@ class CensusReport:
         }
 
 
+# Most admissible pairs one census analyzes.  G(5,14) has 20,449 and
+# G(7,16) 511,225; G(9,20) has 70,526,404, tens of minutes of analyze.
+MAX_PAIRS = 2**20
+
+
+def _count_below(bound: tuple[int, ...]) -> int:
+    """Number of strictly increasing tuples a with 1 <= a_i <= bound_i.
+
+    A DP over positions: ways[x] counts the prefixes ending in entry x,
+    with ways[0] = 1 for the empty prefix.
+    """
+    ways = [1]
+    for b in bound:
+        ways = [0, *accumulate(ways + [0] * (b - len(ways)))]
+    return sum(ways)
+
+
 def admissible_reports(ctx: GrassCtx) -> Iterator[AnalysisReport]:
     """analyze(v, w, ctx) for every v <= v_min and w >= w_min, v-major.
 
     Both intervals are enumerated in lexicographic order, and the reports
-    stream one at a time.  Raises NotCoprime on the first next().
+    stream one at a time.  On the first next(), raises NotCoprime, or
+    GrassError when there are more than MAX_PAIRS pairs.  Complementing
+    maps {v <= v_min} onto {w >= w_min}, so the two sides have the same
+    size s and the pair count is s * s.
     """
     mp = minimal_pair(ctx)
+    pairs = _count_below(mp.v_min.entries) ** 2
+    if pairs > MAX_PAIRS:
+        raise GrassError(
+            f"{ctx} has {pairs:,} admissible pairs; "
+            f"a census analyzes at most {MAX_PAIRS:,}"
+        )
     ws = indices_above(mp.w_min)
     for v in indices_below(mp.v_min):
         for w in ws:

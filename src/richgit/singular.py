@@ -5,9 +5,9 @@ removing the hook through that valley.  In terms of the part sequence
 (p_1^{q_1}, ..., p_r^{q_r}) of X(w) this is the classical run-length
 substitution: the r - 1 components replace the adjacent runs
 p_i^{q_i}, p_{i+1}^{q_{i+1}} with (p_i - 1)^{q_i + 1}, p_{i+1}^{q_{i+1} - 1}.
-It is computed on the entries of w (diagrams._remove_hook, which
-diagrams.remove_hook also uses): the entry of the valley row leaves and
-one less than the first entry of the run below it enters.
+It is computed on the entries of w (diagrams._valleys and
+diagrams._remove_hook): the entry of the valley row leaves and one less
+than the first entry of the run below it enters.
 
 Opposite side: X^v is isomorphic to X(v') for the complemented index, so
 its components are the complements of the Schubert-side components of v'.

@@ -27,7 +27,6 @@ from richgit import (
     analyze,
     complement_index,
     enumerate_indices,
-    find_valleys,
     from_partition,
     has_semistable,
     hook_oracle_components,
@@ -36,7 +35,6 @@ from richgit import (
     make_index,
     minimal_pair,
     opposite_singular_components,
-    remove_hook,
     richardson_singular_components,
     schubert_singular_components,
     to_partition,
@@ -88,6 +86,14 @@ class TestBoundaryChecks:
             (lambda: GrassIndex((0, 2), G25), OutOfRange),
             (lambda: GrassIndex((1, 6), G25), OutOfRange),
             (lambda: BoxedPartition((0,), G25), GrassError),
+            # explicit ids, so the generated ids of the other cases stay as they were
+            pytest.param(lambda: GrassIndex((1.5, 3), G25), GrassError, id="float-entry"),
+            pytest.param(lambda: GrassIndex((True, 3), G25), GrassError, id="bool-entry"),
+            pytest.param(lambda: GrassIndex([1, 3], G25), GrassError, id="list-entries"),
+            pytest.param(
+                lambda: BoxedPartition((0.5, 1), G25), GrassError, id="float-part"
+            ),
+            pytest.param(lambda: BoxedPartition([0, 1], G25), GrassError, id="list-parts"),
             (
                 lambda: RichardsonId(
                     make_index((1, 2), G25), make_index((3, 5), GrassCtx(2, 7))
@@ -131,10 +137,9 @@ def check_derived(w):
     p = to_partition(w)
     check_partition(p, ctx)
     assert from_partition(p) == w
-    for row in find_valleys(p):
-        check_partition(remove_hook(p, row), ctx)
     for c in schubert_singular_components(w):
         check_index(c, ctx)
+        check_partition(to_partition(c), ctx)
     for c in opposite_singular_components(w):
         check_index(c, ctx)
 

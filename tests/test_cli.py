@@ -8,8 +8,13 @@ from pathlib import Path
 
 import pytest
 
+import richgit.oracle
 from richgit import GrassCtx, census
 from richgit.cli import main, to_json
+
+
+def refuse_analyze(*args):
+    raise AssertionError("the census guard let the sweep start")
 
 
 def run_cli(capsys, *argv):
@@ -170,6 +175,15 @@ class TestCensus:
             "  oracle mismatches: 0\n"
         )
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_pair_guard_exit_2(self, capsys, monkeypatch, fmt):
+        # G(9,20) has 70,526,404 pairs; fail at once if any were analyzed
+        monkeypatch.setattr(richgit.oracle, "analyze", refuse_analyze)
+        code, out, err = run_cli(capsys, "census", "-k", "9", "-n", "20", "--format", fmt)
+        assert code == 2
+        assert out == ""
+        assert "G(9,20) has 70,526,404 admissible pairs" in err
+
     def test_full_option_removed(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["census", "-k", "4", "-n", "9", "--full"])
@@ -189,6 +203,13 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--ctx", "3,8")
         assert code == 1
         assert "passed: false" in out
+
+    def test_pair_guard_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(richgit.oracle, "analyze", refuse_analyze)
+        code, out, err = run_cli(capsys, "verify", "--ctx", "9,20")
+        assert code == 2
+        assert out == ""
+        assert "G(9,20) has 70,526,404 admissible pairs" in err
 
     def test_text_summary(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--ctx", "2,3", "--ctx", "2,5")

@@ -1,5 +1,9 @@
 import ast
+import contextlib
+import io
 import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -210,3 +214,19 @@ class TestPublicSurface:
         }
         public = {name for name in imported if not name.startswith("_")}
         assert public - set(exported) == set()
+
+    def test_readme_library_snippet(self):
+        # each print's output is the first token of its trailing comment
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        section = readme.read_text(encoding="utf-8").split("## Library use", 1)[1]
+        code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+        expected = [
+            line.split("#", 1)[1].split()[0]
+            for line in code.splitlines()
+            if line.startswith("print(")
+        ]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            exec(code, {})
+        assert expected == ["(3,5,7,9)", "SMOOTH", "169"]
+        assert out.getvalue().splitlines() == expected

@@ -12,6 +12,7 @@ from richgit import (
     NotCoprime,
     RichardsonId,
     analyze,
+    complement_index,
     enumerate_indices,
     has_semistable,
     make_index,
@@ -68,6 +69,12 @@ class TestMinimalPair:
                 assert a * k >= i * n > (a - 1) * k  # smallest such integer
             assert mp.a[-1] == n
             assert mp.v_min <= mp.w_min  # hypothesis subsumption
+
+    def test_complement_of_v_min_is_w_min(self):
+        # n + 1 - a_{k-i} = 1 + floor(i*n/k) = a_i for coprime k, n
+        for ctx in coprime_ctxs(40):
+            mp = minimal_pair(ctx)
+            assert complement_index(mp.v_min) == mp.w_min, ctx
 
     def test_gap_of_two_holds_iff_wide_rectangle(self):
         # a_i >= a_{i-1} + 2 (a_0 = 1) holds exactly on the n > 2k side

@@ -6,17 +6,15 @@ from richgit import (
     BoxedPartition,
     GrassCtx,
     GrassError,
-    NotAValley,
     RichardsonId,
     complement_index,
     enumerate_indices,
-    find_valleys,
     from_partition,
     length,
     make_index,
-    remove_hook,
     render_skew,
     richardson_dim,
+    schubert_singular_components,
     to_partition,
 )
 
@@ -37,6 +35,25 @@ def all_small_ctxs(max_n):
 
 def runs(p):
     return [(value, len(list(g))) for value, g in groupby(x for x in p.parts if x)]
+
+
+def valleys(p):
+    """Rows j (1-based, from the bottom) with parts[j] > parts[j-1] >= 1."""
+    return tuple(
+        j for j in range(2, len(p.parts) + 1) if p.parts[j - 1] > p.parts[j - 2] >= 1
+    )
+
+
+def hooks(p):
+    """(valley row, component diagram) pairs, one per Schubert singular component.
+
+    The components come bottom valley first, so they pair up with the
+    valley rows in order.
+    """
+    comps = schubert_singular_components(from_partition(p))
+    rows = valleys(p)
+    assert len(comps) == len(rows)
+    return [(row, to_partition(c)) for row, c in zip(rows, comps)]
 
 
 def all_partitions(ctx):
@@ -85,6 +102,8 @@ class TestPartitionConversion:
             part((3, 2, 2, 1))  # decreasing
         with pytest.raises(GrassError):
             part((0, 0, 0, 6))  # wider than the rectangle
+        with pytest.raises(GrassError, match="row 3"):
+            part((0, 1, 1.5, 2))  # within every bound, so only the type check stops it
 
 
 class TestComplement:
@@ -118,21 +137,24 @@ class TestComplement:
 
 class TestValleys:
     def test_staircase(self):
-        assert find_valleys(part((2, 3, 4, 5))) == (2, 3, 4)
+        p = part((2, 3, 4, 5))
+        assert valleys(p) == (2, 3, 4)
+        assert [q.parts for _, q in hooks(p)] == [(1, 1, 4, 5), (2, 2, 2, 5), (2, 3, 3, 3)]
 
     def test_rectangle(self):
-        assert find_valleys(part((3, 3, 3, 3))) == ()
-        assert find_valleys(part((0, 0, 0, 0))) == ()
+        assert hooks(part((3, 3, 3, 3))) == []
+        assert hooks(part((0, 0, 0, 0))) == []
 
     def test_zeros_then_jump(self):
         # the zero/nonzero boundary is not a valley
-        assert find_valleys(part((0, 0, 2, 2))) == ()
-        assert find_valleys(part((1, 1, 4, 5))) == (3, 4)
+        assert hooks(part((0, 0, 2, 2))) == []
+        got = [(row, q.parts) for row, q in hooks(part((1, 1, 4, 5)))]
+        assert got == [(3, (0, 0, 0, 5)), (4, (1, 1, 3, 3))]
 
     def test_counts_runs(self):
         for ctx in all_small_ctxs(9):
             for p in all_partitions(ctx):
-                assert len(find_valleys(p)) == max(len(runs(p)) - 1, 0)
+                assert len(hooks(p)) == max(len(runs(p)) - 1, 0)
 
 
 def diagram_cells(p):
@@ -145,22 +167,12 @@ class TestRemoveHook:
         [(2, (1, 1, 4, 5)), (3, (2, 2, 2, 5)), (4, (2, 3, 3, 3))],
     )
     def test_staircase_hooks(self, valley, expected):
-        assert remove_hook(part((2, 3, 4, 5)), valley).parts == expected
-
-    def test_not_a_valley(self):
-        # rows 0 and -1 would index from the end without the range check;
-        # row 0 compares parts[-1] = 5 with parts[-2] = 4 and looks valid
-        for row in (-1, 0, 1, 5):
-            with pytest.raises(NotAValley):
-                remove_hook(part((2, 3, 4, 5)), row)
-        with pytest.raises(NotAValley):
-            remove_hook(part((3, 3, 3, 3)), 2)
+        assert dict(hooks(part((2, 3, 4, 5))))[valley].parts == expected
 
     def test_strictly_smaller_rowwise(self):
         for ctx in all_small_ctxs(9):
             for p in all_partitions(ctx):
-                for valley in find_valleys(p):
-                    q = remove_hook(p, valley)
+                for _, q in hooks(p):
                     assert all(a <= b for a, b in zip(q.parts, p.parts))
                     assert q.parts != p.parts
 
@@ -176,8 +188,7 @@ class TestRemoveHook:
                     if i > 0:
                         boundaries[row + 1] = i - 1  # valley row -> lower run index
                     row += rl[i][1]
-                for valley in find_valleys(p):
-                    q = remove_hook(p, valley)
+                for valley, q in hooks(p):
                     removed = diagram_cells(p) - diagram_cells(q)
                     i = boundaries[valley]
                     (pi, qi), (pnext, _) = rl[i], rl[i + 1]

@@ -4,6 +4,7 @@ import pytest
 
 from richgit import (
     GrassCtx,
+    GrassError,
     NotCoprime,
     census,
     default_contexts,
@@ -18,6 +19,7 @@ from richgit import (
     verify,
 )
 from richgit.cli import to_json
+from richgit.oracle import MAX_PAIRS, _count_below, admissible_reports
 
 G49 = GrassCtx(4, 9)
 
@@ -80,6 +82,26 @@ class TestCensus:
             assert indices_above(mp.w_min) == above
             rep = census(ctx)
             assert rep.total_pairs == len(below) * len(above)
+
+    def test_guard_side_count_matches_intervals(self):
+        # by duality both sides have the size the guard counts on the v side
+        for ctx in default_contexts(16):
+            mp = minimal_pair(ctx)
+            s = _count_below(mp.v_min.entries)
+            assert s == len(indices_below(mp.v_min)) == len(indices_above(mp.w_min)), ctx
+
+    def test_guard_refuses_before_analyzing(self):
+        reports = admissible_reports(GrassCtx(9, 20))
+        with pytest.raises(GrassError, match=r"G\(9,20\) has 70,526,404 admissible pairs"):
+            next(reports)
+        with pytest.raises(GrassError, match="1,048,576"):
+            census(GrassCtx(9, 20))
+
+    def test_guard_admits_the_largest_benchmark_context(self):
+        # G(7,16) has 715 ** 2 = 511,225 pairs, under MAX_PAIRS
+        assert _count_below(minimal_pair(GrassCtx(7, 16)).v_min.entries) ** 2 <= MAX_PAIRS
+        rep = next(admissible_reports(GrassCtx(7, 16)))
+        assert rep.pair.v.entries == tuple(range(1, 8))
 
     def test_erratum_notes_present(self):
         rep = census(G49)

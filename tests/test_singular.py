@@ -9,7 +9,6 @@ from richgit import (
     RichardsonId,
     complement_index,
     enumerate_indices,
-    find_valleys,
     length,
     make_index,
     minimal_pair,
@@ -77,7 +76,7 @@ class TestSchubertComponents:
         for ctx in all_small_ctxs(9):
             for w in enumerate_indices(ctx):
                 comps = schubert_singular_components(w)
-                assert len(comps) == len(find_valleys(to_partition(w)))
+                assert len(comps) == max(len(runs(to_partition(w))) - 1, 0)
                 assert len(set(comps)) == len(comps)
 
     def test_agrees_with_diagram_hook_removal(self):
