@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from operator import le
+from operator import le, lt
 from typing import Sequence
 
 
@@ -83,6 +83,19 @@ class GrassIndex:
     ctx: GrassCtx
 
     def __post_init__(self) -> None:
+        entries, ctx = self.entries, self.ctx
+        # Fast path: a valid index passes these C-level checks without a
+        # Python loop (type() is exact, so a bool fails {int}).  Anything
+        # else takes the loops below, which raise for the first failing check.
+        if (
+            type(entries) is tuple
+            and len(entries) == ctx.k
+            and set(map(type, entries)) == {int}
+            and 1 <= entries[0]
+            and entries[-1] <= ctx.n
+            and all(map(lt, entries, entries[1:]))
+        ):
+            return
         if type(self.entries) is not tuple:
             raise GrassError(f"entries must be a tuple, not {type(self.entries).__name__}")
         for pos, e in enumerate(self.entries, start=1):
@@ -116,10 +129,16 @@ class GrassIndex:
 
 
 def _index(entries: tuple[int, ...], ctx: GrassCtx) -> GrassIndex:
-    """GrassIndex without validation, for entries derived from valid ones."""
+    """GrassIndex without validation, for entries derived from valid ones.
+
+    Like every trusted record constructor of the library, it fills the
+    instance's __dict__ directly: no __post_init__ check, and none of the
+    per-field object.__setattr__ calls of a frozen dataclass's __init__.
+    """
     idx = object.__new__(GrassIndex)
-    object.__setattr__(idx, "entries", entries)
-    object.__setattr__(idx, "ctx", ctx)
+    fields = idx.__dict__
+    fields["entries"] = entries
+    fields["ctx"] = ctx
     return idx
 
 
@@ -152,7 +171,7 @@ class RichardsonId:
     w: GrassIndex
 
     def __post_init__(self) -> None:
-        if self.v.ctx != self.w.ctx:
+        if self.v.ctx is not self.w.ctx and self.v.ctx != self.w.ctx:
             raise ContextMismatch(
                 f"v is from {self.v.ctx} but w is from {self.w.ctx}"
             )
@@ -172,8 +191,9 @@ class RichardsonId:
 def _richardson(v: GrassIndex, w: GrassIndex) -> RichardsonId:
     """RichardsonId without validation, for a pair already known to have v <= w."""
     rid = object.__new__(RichardsonId)
-    object.__setattr__(rid, "v", v)
-    object.__setattr__(rid, "w", w)
+    fields = rid.__dict__
+    fields["v"] = v
+    fields["w"] = w
     return rid
 
 

@@ -31,7 +31,7 @@ from .core import (
     make_index,
     richardson_dim,
 )
-from .singular import CACHE_SIZE, richardson_singular_components
+from .singular import CACHE_SIZE, SCHUBERT_SIDE, richardson_singular_components
 
 EMPTY_QUOTIENT = "EMPTY_QUOTIENT"
 SMOOTH = "SMOOTH"
@@ -73,11 +73,7 @@ def has_semistable(rid: RichardsonId, mp: MinimalPair) -> bool:
     """True iff X^v_w admits semistable points: v <= v_min and w >= w_min."""
     if rid.ctx != mp.ctx:
         raise ContextMismatch(f"pair is from {rid.ctx}, minimal pair from {mp.ctx}")
-    return _semistable(rid, mp.v_min.entries, mp.w_min.entries)
-
-
-def _semistable(rid: RichardsonId, v_min: tuple[int, ...], w_min: tuple[int, ...]) -> bool:
-    """has_semistable on entry tuples, for a pair already known to share mp's context."""
+    v_min, w_min = mp.v_min.entries, mp.w_min.entries
     return all(map(le, rid.v.entries, v_min)) and all(map(le, w_min, rid.w.entries))
 
 
@@ -112,6 +108,16 @@ class ComponentReport:
             "source": self.source,
             "has_semistable": self.has_semistable,
         }
+
+
+def _component_report(pair: RichardsonId, source: str, ss: bool) -> ComponentReport:
+    """ComponentReport built as a trusted record (see core._index)."""
+    rep = object.__new__(ComponentReport)
+    fields = rep.__dict__
+    fields["pair"] = pair
+    fields["source"] = source
+    fields["has_semistable"] = ss
+    return rep
 
 
 @dataclass(frozen=True)
@@ -176,15 +182,24 @@ def analyze(
     if rid.ctx is not ctx and rid.ctx != ctx:
         raise ContextMismatch(f"pair is from {rid.ctx}, minimal pair from {mp.ctx}")
 
+    # Semistability factors by side: (v, w) admits semistable points iff
+    # v <= v_min and w >= w_min.  A Schubert-side component (v, w') keeps
+    # v, so only w' is compared; an opposite-side one (v', w) keeps w.
     v_min, w_min = mp.v_min.entries, mp.w_min.entries
-    ss = _semistable(rid, v_min, w_min)
+    v_ok = all(map(le, vi.entries, v_min))
+    w_ok = all(map(le, w_min, wi.entries))
+    ss = v_ok and w_ok
     components = tuple(
-        ComponentReport(
-            pair=comp.pair,
-            source=comp.source,
-            has_semistable=_semistable(comp.pair, v_min, w_min),
-        )
-        for comp in richardson_singular_components(rid)
+        [
+            _component_report(
+                comp.pair,
+                comp.source,
+                (v_ok and all(map(le, w_min, comp.pair.w.entries)))
+                if comp.source == SCHUBERT_SIDE
+                else (w_ok and all(map(le, comp.pair.v.entries, v_min))),
+            )
+            for comp in richardson_singular_components(rid)
+        ]
     )
     if not ss:
         by_components: bool | None = None
@@ -195,7 +210,8 @@ def analyze(
         by_pattern = _smooth_by_pattern(rid, mp)
         verdict = SMOOTH if by_components else SINGULAR
 
-    return AnalysisReport(
+    rep = object.__new__(AnalysisReport)
+    rep.__dict__.update(
         pair=rid,
         nonempty=True,
         has_semistable=ss,
@@ -205,3 +221,4 @@ def analyze(
         verdict=verdict,
         dimension=richardson_dim(rid),
     )
+    return rep

@@ -10,7 +10,8 @@ singular.schubert_singular_components is their public form.
 
 Opposite diagrams (the right-anchored complements of ordinary diagrams)
 are never manipulated directly: every opposite-side computation routes
-through complement_index and the ordinary machinery.
+through the complement (complement_index, or _complement on entries) and
+the ordinary machinery.
 """
 
 from __future__ import annotations
@@ -76,8 +77,13 @@ def complement_index(v: GrassIndex) -> GrassIndex:
     to the Schubert variety X(v'), which is how everything opposite-side
     is computed here.
     """
-    n = v.ctx.n
-    return _index(tuple(n + 1 - e for e in reversed(v.entries)), v.ctx)
+    return _index(_complement(v.entries, v.ctx.n), v.ctx)
+
+
+def _complement(e: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """Entries of complement_index: e'_i = n + 1 - e_{k+1-i}."""
+    m = n + 1
+    return tuple([m - x for x in reversed(e)])
 
 
 def _valleys(w: tuple[int, ...]) -> Iterator[tuple[int, int]]:

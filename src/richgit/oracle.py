@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from math import gcd
+from math import comb, gcd
 from typing import Iterator
 
 from .core import (
@@ -181,22 +181,48 @@ def _count_below(bound: tuple[int, ...]) -> int:
     return sum(ways)
 
 
-def admissible_reports(ctx: GrassCtx) -> Iterator[AnalysisReport]:
-    """analyze(v, w, ctx) for every v <= v_min and w >= w_min, v-major.
+# Most cells one census's oracle_sweep visits: C(n,k) indices, each a
+# k x (n-k) grid of cells.  G(7,16) has 720,720.  The largest admitted
+# k = 2 context, G(2,257), has 16,776,960, and its sweep took 4.6-4.8 s
+# (Python 3.11.7, shared 2-core Xeon VM); G(2,259) is refused.
+MAX_SWEEP_CELLS = 2**24
 
-    Both intervals are enumerated in lexicographic order, and the reports
-    stream one at a time.  On the first next(), raises NotCoprime, or
-    GrassError when there are more than MAX_PAIRS pairs.  Complementing
-    maps {v <= v_min} onto {w >= w_min}, so the two sides have the same
-    size s and the pair count is s * s.
+
+def _check_pairs(ctx: GrassCtx) -> None:
+    """Raise NotCoprime, or GrassError when ctx has more than MAX_PAIRS pairs.
+
+    Complementing maps {v <= v_min} onto {w >= w_min}, so the two sides
+    have the same size s and the pair count is s * s.
     """
-    mp = minimal_pair(ctx)
-    pairs = _count_below(mp.v_min.entries) ** 2
+    pairs = _count_below(minimal_pair(ctx).v_min.entries) ** 2
     if pairs > MAX_PAIRS:
         raise GrassError(
             f"{ctx} has {pairs:,} admissible pairs; "
             f"a census analyzes at most {MAX_PAIRS:,}"
         )
+
+
+def _check_census(ctx: GrassCtx) -> None:
+    """Every check census makes before any work: _check_pairs, then the sweep size."""
+    _check_pairs(ctx)
+    k, n = ctx.k, ctx.n
+    cells = comb(n, k) * k * (n - k)
+    if cells > MAX_SWEEP_CELLS:
+        raise GrassError(
+            f"{ctx} has {cells:,} oracle sweep cells ({comb(n, k):,} indices "
+            f"of {k * (n - k)} cells); a census sweeps at most {MAX_SWEEP_CELLS:,}"
+        )
+
+
+def admissible_reports(ctx: GrassCtx) -> Iterator[AnalysisReport]:
+    """analyze(v, w, ctx) for every v <= v_min and w >= w_min, v-major.
+
+    Both intervals are enumerated in lexicographic order, and the reports
+    stream one at a time.  On the first next(), raises what _check_pairs
+    raises.
+    """
+    _check_pairs(ctx)
+    mp = minimal_pair(ctx)
     ws = indices_above(mp.w_min)
     for v in indices_below(mp.v_min):
         for w in ws:
@@ -204,7 +230,12 @@ def admissible_reports(ctx: GrassCtx) -> Iterator[AnalysisReport]:
 
 
 def census(ctx: GrassCtx) -> CensusReport:
-    """Analyze every pair with v <= v_min and w >= w_min; raises NotCoprime."""
+    """Analyze every pair with v <= v_min and w >= w_min.
+
+    Raises what _check_census raises before any work: NotCoprime, or
+    GrassError when the pairs or the oracle sweep exceed their bounds.
+    """
+    _check_census(ctx)
     total = smooth = 0
     mismatches = []
     for rep in admissible_reports(ctx):
@@ -315,10 +346,14 @@ def verify(ctxs: list[GrassCtx] | None = None) -> VerifyReport:
 
     Deterministic: identical inputs produce identical reports.  passed is
     False as soon as any census records a mismatch of either kind or any
-    reference verdict fails to reproduce.
+    reference verdict fails to reproduce.  Every context passes census's
+    checks before the first census runs, so a refused context costs no
+    work on the others.
     """
     if ctxs is None:
         ctxs = default_contexts()
+    for c in ctxs:
+        _check_census(c)
     censuses = tuple(census(c) for c in ctxs)
     examples: tuple[ExampleCheck, ...] = ()
     if any(c.k == 4 and c.n == 9 for c in ctxs):

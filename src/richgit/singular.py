@@ -11,6 +11,8 @@ than the first entry of the run below it enters.
 
 Opposite side: X^v is isomorphic to X(v') for the complemented index, so
 its components are the complements of the Schubert-side components of v'.
+That is computed in one pass on entries: complement v, remove each valley's
+hook, complement each result back.
 
 Richardson: the singular locus of X^v_w is the union of the Schubert-side
 components intersected with X^v and the opposite-side components
@@ -22,17 +24,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import le
 
 from .core import GrassIndex, RichardsonId, _index, _richardson
-from .diagrams import _remove_hook, _valleys, complement_index
+from .diagrams import _complement, _remove_hook, _valleys
 
 SCHUBERT_SIDE = "SCHUBERT_SIDE"
 OPPOSITE_SIDE = "OPPOSITE_SIDE"
 
 # Entries kept by each lru cache of the library (here and minimal_pair).
-# A default verify fills 4,568 Schubert-side entries and 6,000 random
-# analyze calls in G(7,16)..G(11,24) about 7,100, so neither evicts;
-# larger sweeps evict instead of growing without bound.
+# A default verify fills 4,568 Schubert-side and 431 opposite-side
+# entries, and 6,000 random analyze calls in G(7,16)..G(11,24) about
+# 3,750 of each, so neither evicts; larger sweeps evict instead of
+# growing without bound.
 CACHE_SIZE = 2**16
 
 
@@ -42,6 +46,15 @@ class SingularComponent:
 
     pair: RichardsonId
     source: str
+
+
+def _component(pair: RichardsonId, source: str) -> SingularComponent:
+    """SingularComponent built as a trusted record (see core._index)."""
+    comp = object.__new__(SingularComponent)
+    fields = comp.__dict__
+    fields["pair"] = pair
+    fields["source"] = source
+    return comp
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -57,10 +70,15 @@ def schubert_singular_components(w: GrassIndex) -> tuple[GrassIndex, ...]:
 
 @lru_cache(maxsize=CACHE_SIZE)
 def opposite_singular_components(v: GrassIndex) -> tuple[GrassIndex, ...]:
-    """Indices v' of the singular-locus components X^{v'} of X^v."""
+    """Indices v' of the singular-locus components X^{v'} of X^v.
+
+    The complements of the Schubert-side components of the complement of v,
+    in the same order.
+    """
+    n, ctx = v.ctx.n, v.ctx
+    c = _complement(v.entries, n)
     return tuple(
-        complement_index(u)
-        for u in schubert_singular_components(complement_index(v))
+        _index(_complement(_remove_hook(c, j, s), n), ctx) for j, s in _valleys(c)
     )
 
 
@@ -73,17 +91,20 @@ def richardson_singular_components(
     v <= w', then the pairs (v', w) for opposite-side components v' of v
     with v' <= w.  Empty for smooth Richardson varieties.  No pair repeats:
     the w' are distinct (one per valley) and strictly below w, and the v'
-    are distinct (complements of distinct indices) while keeping w.
+    are distinct (complements of distinct indices) while keeping w.  All
+    of these indices share rid's context, so the v <= w' and v' <= w tests
+    compare entries directly.
     """
     v, w = rid.v, rid.w
-    schubert = tuple(
-        SingularComponent(_richardson(v, w2), SCHUBERT_SIDE)
+    ve, we = v.entries, w.entries
+    schubert = [
+        _component(_richardson(v, w2), SCHUBERT_SIDE)
         for w2 in schubert_singular_components(w)
-        if v <= w2
-    )
-    opposite = tuple(
-        SingularComponent(_richardson(v2, w), OPPOSITE_SIDE)
+        if all(map(le, ve, w2.entries))
+    ]
+    opposite = [
+        _component(_richardson(v2, w), OPPOSITE_SIDE)
         for v2 in opposite_singular_components(v)
-        if v2 <= w
-    )
-    return schubert + opposite
+        if all(map(le, v2.entries, we))
+    ]
+    return tuple(schubert + opposite)

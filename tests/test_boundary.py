@@ -8,10 +8,11 @@ without a second check, so every derived value must be one that the
 checks accept.  Both halves are pinned here.
 """
 
+from itertools import combinations
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from richgit import (
@@ -203,3 +204,80 @@ class TestTrustedConstructionRandom:
     def test_hook_removal_matches_cell_set_oracle(self, pair):
         for x in pair:
             assert frozenset(schubert_singular_components(x)) == hook_oracle_components(x)
+
+
+def reference_validate(entries, ctx):
+    """GrassIndex's entry checks as plain loops, the reference for its fast path."""
+    if type(entries) is not tuple:
+        raise GrassError(f"entries must be a tuple, not {type(entries).__name__}")
+    for pos, e in enumerate(entries, start=1):
+        if type(e) is not int:
+            raise GrassError(f"entry {e!r} at position {pos} is not an integer")
+    k, n = ctx.k, ctx.n
+    if len(entries) != k:
+        raise WrongLength(f"expected {k} entries for {ctx}, got {len(entries)}")
+    prev = 0
+    for pos, e in enumerate(entries, start=1):
+        if not 1 <= e <= n:
+            raise OutOfRange(f"entry {e} at position {pos} is outside [1, {n}]")
+        if e <= prev:
+            raise NotStrictlyIncreasing(
+                f"entry {e} at position {pos} does not exceed {prev}"
+            )
+        prev = e
+
+
+def outcome(check, entries, ctx):
+    """None when check accepts, else the class and message it raises."""
+    try:
+        check(entries, ctx)
+    except GrassError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@st.composite
+def raw_entries(draw):
+    """(entries, k, n) for k < n <= 12: a tuple or list of ints, bools and
+    floats of any length and order, often k ints near [1, n]."""
+    n = draw(st.integers(2, 12))
+    k = draw(st.integers(1, n - 1))
+    item = st.one_of(
+        st.integers(-1, n + 2), st.booleans(), st.floats(-1, n + 2), st.floats()
+    )
+    near = st.integers(0, n + 1)
+    values = draw(
+        st.one_of(
+            st.lists(item, max_size=k + 2),
+            st.lists(near, min_size=k, max_size=k),
+            st.sets(near, min_size=k - 1, max_size=k + 1).map(sorted),
+        )
+    )
+    if values and draw(st.booleans()):
+        values[draw(st.integers(0, len(values) - 1))] = draw(item)
+    return draw(st.sampled_from([tuple, list]))(values), k, n
+
+
+class TestFastValidation:
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(raw_entries())
+    @example(((True, 3), 2, 5))
+    @example(((1, 6), 2, 5))
+    @example(((1.0, 3), 2, 5))
+    @example(([1, 3], 2, 5))
+    def test_matches_the_reference_checks(self, case):
+        entries, k, n = case
+        ctx = GrassCtx(k, n)
+        assert outcome(GrassIndex, entries, ctx) == outcome(reference_validate, entries, ctx)
+
+    def test_accepts_exactly_the_k_subsets(self):
+        for n in range(2, 11):
+            ctxs = [GrassCtx(k, n) for k in range(1, n)]
+            for size in range(n + 1):
+                for entries in combinations(range(1, n + 1), size):
+                    for ctx in ctxs:
+                        got = outcome(GrassIndex, entries, ctx)
+                        if size == ctx.k:
+                            assert got is None, (entries, ctx)
+                        else:
+                            assert got == outcome(reference_validate, entries, ctx)

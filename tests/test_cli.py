@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from array import array
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,7 @@ from richgit.cli import main, to_json
 
 
 def refuse_analyze(*args):
-    raise AssertionError("the census guard let the sweep start")
+    raise AssertionError("a census guard let the work start")
 
 
 def run_cli(capsys, *argv):
@@ -184,6 +185,16 @@ class TestCensus:
         assert out == ""
         assert "G(9,20) has 70,526,404 admissible pairs" in err
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_sweep_guard_exit_2(self, capsys, monkeypatch, fmt):
+        # G(2,259) passes the pair guard; its oracle sweep is refused
+        monkeypatch.setattr(richgit.oracle, "analyze", refuse_analyze)
+        monkeypatch.setattr(richgit.oracle, "oracle_sweep", refuse_analyze)
+        code, out, err = run_cli(capsys, "census", "-k", "2", "-n", "259", "--format", fmt)
+        assert code == 2
+        assert out == ""
+        assert "G(2,259) has 17,173,254 oracle sweep cells" in err
+
     def test_full_option_removed(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["census", "-k", "4", "-n", "9", "--full"])
@@ -207,6 +218,14 @@ class TestVerify:
     def test_pair_guard_exit_2(self, capsys, monkeypatch):
         monkeypatch.setattr(richgit.oracle, "analyze", refuse_analyze)
         code, out, err = run_cli(capsys, "verify", "--ctx", "9,20")
+        assert code == 2
+        assert out == ""
+        assert "G(9,20) has 70,526,404 admissible pairs" in err
+
+    def test_every_context_checked_before_any_census(self, capsys, monkeypatch):
+        # G(7,16) alone would run 511,225 analyze calls before G(9,20) is refused
+        monkeypatch.setattr(richgit.oracle, "analyze", refuse_analyze)
+        code, out, err = run_cli(capsys, "verify", "--ctx", "7,16", "--ctx", "9,20")
         assert code == 2
         assert out == ""
         assert "G(9,20) has 70,526,404 admissible pairs" in err
@@ -269,6 +288,20 @@ def test_tracer_output_matches_untraced(capsys, tmp_path):
     assert code == 0
     assert traced.returncode == 0, traced.stderr.decode()
     assert traced.stdout == out.encode("utf-8")
-    counts = json.loads((tmp_path / "trace.json").read_text())["counts"]
+    meta = json.loads((tmp_path / "trace.json").read_text())
+    counts = meta["counts"]
     assert counts["core.index_validations"] > 0
     assert counts["core.bruhat_cmp"] > 0
+    # the per-layer split sees the component listing inside each analyze
+    with open(tmp_path / "trace.bin", "rb") as fh:
+        names, parents = array("i"), array("i")
+        names.fromfile(fh, meta["spans"])
+        parents.fromfile(fh, meta["spans"])
+    label = meta["names"]
+    parent_of = [
+        label[names[p]] if p >= 0 else None
+        for n, p in zip(names, parents)
+        if label[n] == "singular.richardson_singular_components"
+    ]
+    assert len(parent_of) == sum(label[n] == "criteria.analyze" for n in names) > 0
+    assert set(parent_of) == {"criteria.analyze"}

@@ -3,6 +3,8 @@ import json
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from richgit import (
     EMPTY_QUOTIENT,
@@ -17,6 +19,7 @@ from richgit import (
     has_semistable,
     make_index,
     minimal_pair,
+    richardson_singular_components,
 )
 
 G49 = GrassCtx(4, 9)
@@ -132,7 +135,42 @@ class TestSmoothByPattern:
 ANALYZE_DIGEST_N9 = "cee34a1ace0727b537f4e08e96f77e480c461af82f30aed4459bdffe8b31a1c8"
 
 
+@st.composite
+def coprime_pairs(draw, max_n=30):
+    """(v, w, ctx) with v <= w in a random coprime G(k, n), n <= max_n.
+
+    Half the draws clamp v below v_min and w above w_min, so the pair
+    admits semistable points; the rest are two random indices sorted
+    componentwise.
+    """
+    n = draw(st.integers(2, max_n))
+    k = draw(st.sampled_from([k for k in range(1, n) if gcd(k, n) == 1]))
+    ctx = GrassCtx(k, n)
+    a = sorted(draw(st.permutations(range(1, n + 1)))[:k])
+    b = sorted(draw(st.permutations(range(1, n + 1)))[:k])
+    v, w = tuple(map(min, a, b)), tuple(map(max, a, b))
+    if draw(st.booleans()):
+        mp = minimal_pair(ctx)
+        v = tuple(map(min, a, mp.v_min.entries))
+        w = tuple(map(max, b, mp.w_min.entries))
+    return v, w, ctx
+
+
 class TestAnalyze:
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(coprime_pairs())
+    def test_components_match_the_per_component_path(self, pair):
+        # analyze flags each component from the pair's own halves; the slow
+        # path tests every component pair in full with has_semistable
+        v, w, ctx = pair
+        mp = minimal_pair(ctx)
+        rid = RichardsonId(make_index(v, ctx), make_index(w, ctx))
+        got = [(c.pair, c.source, c.has_semistable) for c in analyze(v, w, ctx).components]
+        assert got == [
+            (c.pair, c.source, has_semistable(c.pair, mp))
+            for c in richardson_singular_components(rid)
+        ]
+
     def test_golden_digest(self):
         digest = hashlib.sha256()
         pairs = 0

@@ -18,14 +18,25 @@ from richgit import (
     schubert_singular_components,
     verify,
 )
+import richgit.oracle
 from richgit.cli import to_json
-from richgit.oracle import MAX_PAIRS, _count_below, admissible_reports
+from richgit.oracle import (
+    MAX_PAIRS,
+    MAX_SWEEP_CELLS,
+    _check_census,
+    _count_below,
+    admissible_reports,
+)
 
 G49 = GrassCtx(4, 9)
 
 
 def idx(values, ctx=G49):
     return make_index(values, ctx)
+
+
+def refuse(*args):
+    raise AssertionError("a census started before every check passed")
 
 
 class TestHookOracle:
@@ -103,6 +114,23 @@ class TestCensus:
         rep = next(admissible_reports(GrassCtx(7, 16)))
         assert rep.pair.v.entries == tuple(range(1, 8))
 
+    def test_sweep_guard_refuses_before_any_work(self, monkeypatch):
+        # G(2,259) has only 129 ** 2 pairs, but C(259,2) * 2 * 257 sweep cells
+        monkeypatch.setattr(richgit.oracle, "analyze", refuse)
+        monkeypatch.setattr(richgit.oracle, "oracle_sweep", refuse)
+        with pytest.raises(
+            GrassError, match=r"G\(2,259\) has 17,173,254 oracle sweep cells .* at most 16,777,216"
+        ):
+            census(GrassCtx(2, 259))
+
+    def test_sweep_guard_bound(self):
+        # the largest admitted k = 2 context, and every context the
+        # benchmark and the default verify run, pass; the CSV path has no sweep
+        assert 257 * 256 * 255 <= MAX_SWEEP_CELLS < 259 * 258 * 257
+        for ctx in [GrassCtx(2, 257), GrassCtx(5, 14), GrassCtx(7, 16), *default_contexts()]:
+            _check_census(ctx)
+        assert next(admissible_reports(GrassCtx(2, 259))).pair.v.entries == (1, 2)
+
     def test_erratum_notes_present(self):
         rep = census(G49)
         assert any("(3,4,5,7)" in note for note in rep.erratum_notes)
@@ -119,6 +147,24 @@ class TestCensus:
 
 
 class TestVerify:
+    @pytest.mark.parametrize(
+        "ctxs, message",
+        [
+            pytest.param(
+                [(7, 16), (9, 20)], r"G\(9,20\) has 70,526,404 admissible pairs", id="pairs"
+            ),
+            pytest.param(
+                [(3, 8), (2, 259)], r"G\(2,259\) has 17,173,254 oracle sweep cells", id="sweep"
+            ),
+            pytest.param([(3, 8), (4, 8)], "not coprime", id="coprime"),
+        ],
+    )
+    def test_checks_every_context_before_any_census(self, monkeypatch, ctxs, message):
+        monkeypatch.setattr(richgit.oracle, "analyze", refuse)
+        monkeypatch.setattr(richgit.oracle, "oracle_sweep", refuse)
+        with pytest.raises(GrassError, match=message):
+            verify([GrassCtx(k, n) for k, n in ctxs])
+
     def test_empty_input(self):
         rep = verify([])
         assert rep.censuses == ()

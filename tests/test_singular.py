@@ -112,6 +112,16 @@ class TestOppositeComponents:
                 for c in opposite_singular_components(v):
                     assert v <= c and c != v
 
+    def test_equals_complemented_schubert_components(self):
+        # the one-pass entry route against its definition, order included
+        for ctx in all_small_ctxs(10):
+            for v in enumerate_indices(ctx):
+                slow = tuple(
+                    complement_index(u)
+                    for u in schubert_singular_components(complement_index(v))
+                )
+                assert opposite_singular_components(v) == slow, v
+
     def test_box_counts_grow_by_hook_size(self):
         # dual route without re-deriving the complement construction: each
         # component's dimension exceeds the input's by the size of the hook
