@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from array import array
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -195,6 +196,25 @@ class TestCensus:
         assert out == ""
         assert "G(2,259) has 17,173,254 oracle sweep cells" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["census", "-k", "3", "-n", "3000001", "--format", "csv"],
+            ["census", "-k", "3", "-n", "3000001", "--format", "json"],
+            ["census", "-k", "3", "-n", "3000001"],
+            ["verify", "--ctx", "3,3000001"],
+        ],
+        ids=["csv", "json", "text", "verify"],
+    )
+    def test_gap_product_guard_exit_2(self, capsys, monkeypatch, argv):
+        # refused on a lower bound, before the exact count walks ~n list cells
+        monkeypatch.setattr(richgit.oracle, "_count_below", refuse_analyze)
+        monkeypatch.setattr(richgit.oracle, "analyze", refuse_analyze)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "G(3,3000001) has at least 1,000,000,000,000,000,000,000,000 admissible pairs" in err
+
     def test_full_option_removed(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["census", "-k", "4", "-n", "9", "--full"])
@@ -291,6 +311,8 @@ def test_tracer_output_matches_untraced(capsys, tmp_path):
     meta = json.loads((tmp_path / "trace.json").read_text())
     counts = meta["counts"]
     assert counts["core.index_validations"] > 0
+    # the sweep calls the public oracle once per index of I(3,8)
+    assert counts["oracle.hook_oracle_components"] == comb(8, 3)
     assert counts["core.bruhat_cmp"] > 0
     # the per-layer split sees the component listing inside each analyze
     with open(tmp_path / "trace.bin", "rb") as fh:

@@ -1,10 +1,13 @@
-from math import gcd
+from math import gcd, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from richgit import (
     GrassCtx,
     GrassError,
+    GrassIndex,
     NotCoprime,
     census,
     default_contexts,
@@ -37,6 +40,65 @@ def idx(values, ctx=G49):
 
 def refuse(*args):
     raise AssertionError("a census started before every check passed")
+
+
+def gap_product(e):
+    return prod(b - a for a, b in zip(e, e[1:]))
+
+
+def reference_hook_oracle(w):
+    """The cell-set oracle as explicit sets of (row, column) cells.
+
+    Valleys are detected cell by cell; the hook through a valley at
+    (row j, column c) is the column of cells below it plus the tail of
+    row j from column c rightwards, and removing it yields one component.
+    """
+    ctx = w.ctx
+    width = ctx.n - ctx.k
+    cells = {
+        (i, c)
+        for i, e in enumerate(w.entries, start=1)
+        for c in range(1, e - i + 1)
+    }
+    valleys = sorted(
+        (i, c)
+        for (i, c) in cells
+        if (i - 1, c) in cells and (i, c + 1) in cells and (i - 1, c + 1) not in cells
+    )
+    out = set()
+    for j, c in valleys:
+        hook = {(t, c) for t in range(1, j) if (t, c) in cells}
+        hook |= {(j, cc) for cc in range(c, width + 1) if (j, cc) in cells}
+        rest = cells - hook
+        rows = [0] * ctx.k
+        for i, _ in rest:
+            rows[i - 1] += 1
+        out.add(GrassIndex(tuple(r + i for i, r in enumerate(rows, start=1)), ctx))
+    return frozenset(out)
+
+
+@st.composite
+def indices(draw, max_n=30):
+    n = draw(st.integers(2, max_n))
+    k = draw(st.integers(1, n - 1))
+    entries = draw(st.permutations(range(1, n + 1)))[:k]
+    return make_index(tuple(sorted(entries)), GrassCtx(k, n))
+
+
+class TestRowBitmaskOracle:
+    def test_matches_the_cell_set_reference_up_to_12(self):
+        checked = 0
+        for n in range(2, 13):
+            for k in range(1, n):
+                for w in enumerate_indices(GrassCtx(k, n)):
+                    assert hook_oracle_components(w) == reference_hook_oracle(w), w
+                    checked += 1
+        assert checked == sum(2**n - 2 for n in range(2, 13))
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(indices())
+    def test_matches_the_cell_set_reference_up_to_30(self, w):
+        assert hook_oracle_components(w) == reference_hook_oracle(w)
 
 
 class TestHookOracle:
@@ -107,6 +169,32 @@ class TestCensus:
             next(reports)
         with pytest.raises(GrassError, match="1,048,576"):
             census(GrassCtx(9, 20))
+
+    def test_gap_product_is_a_lower_bound(self):
+        # a_1 = 1 and each a_i in (v_{i-1}, v_i] give prod of gaps distinct tuples
+        for ctx in default_contexts(40):
+            e = minimal_pair(ctx).v_min.entries
+            assert gap_product(e) <= _count_below(e), ctx
+        gaps = {
+            (k, n): gap_product(minimal_pair(GrassCtx(k, n)).v_min.entries)
+            for k, n in [(9, 20), (2, 257), (7, 16)]
+        }
+        assert gaps == {(9, 20): 384, (2, 257): 128, (7, 16): 96}
+        assert max(gaps.values()) ** 2 <= MAX_PAIRS
+
+    def test_gap_product_refuses_before_the_count(self, monkeypatch):
+        # the count's DP would build lists about 3,000,001 long
+        monkeypatch.setattr(richgit.oracle, "_count_below", refuse)
+        monkeypatch.setattr(richgit.oracle, "analyze", refuse)
+        monkeypatch.setattr(richgit.oracle, "oracle_sweep", refuse)
+        ctx = GrassCtx(3, 3000001)
+        message = r"G\(3,3000001\) has at least 1,000,000,000,000,000,000,000,000 admissible pairs"
+        with pytest.raises(GrassError, match=message):
+            census(ctx)
+        with pytest.raises(GrassError, match=message):
+            next(admissible_reports(ctx))
+        with pytest.raises(GrassError, match=message):
+            verify([ctx])
 
     def test_guard_admits_the_largest_benchmark_context(self):
         # G(7,16) has 715 ** 2 = 511,225 pairs, under MAX_PAIRS
