@@ -203,19 +203,15 @@ def richardson_dim(rid: RichardsonId) -> int:
 
 
 def _interval(lo: tuple[int, ...], hi: tuple[int, ...], ctx: GrassCtx) -> list[GrassIndex]:
-    """All strictly increasing a with lo_i <= a_i <= hi_i, in lexicographic order."""
-    k = len(lo)
-    out: list[GrassIndex] = []
+    """All strictly increasing a with lo_i <= a_i <= hi_i, in lexicographic order.
 
-    def rec(pos: int, prev: int, acc: tuple[int, ...]) -> None:
-        if pos == k:
-            out.append(_index(acc, ctx))
-            return
-        for x in range(max(prev + 1, lo[pos]), hi[pos] + 1):
-            rec(pos + 1, x, acc + (x,))
-
-    rec(0, 0, ())
-    return out
+    Built level by level: each prefix is extended by every x in
+    [max(prev + 1, lo_i), hi_i], so no recursion limits k.
+    """
+    prefixes = [(x,) for x in range(lo[0], hi[0] + 1)]
+    for a, b in zip(lo[1:], hi[1:]):
+        prefixes = [p + (x,) for p in prefixes for x in range(max(p[-1] + 1, a), b + 1)]
+    return [_index(p, ctx) for p in prefixes]
 
 
 def indices_below(bound: GrassIndex) -> list[GrassIndex]:

@@ -17,8 +17,7 @@ verify aggregates censuses over a context list (default: all coprime
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
-from math import comb, gcd, prod
+from math import gcd
 from typing import Iterator
 
 from .core import (
@@ -171,18 +170,6 @@ class CensusReport:
 MAX_PAIRS = 2**20
 
 
-def _count_below(bound: tuple[int, ...]) -> int:
-    """Number of strictly increasing tuples a with 1 <= a_i <= bound_i.
-
-    A DP over positions: ways[x] counts the prefixes ending in entry x,
-    with ways[0] = 1 for the empty prefix.
-    """
-    ways = [1]
-    for b in bound:
-        ways = [0, *accumulate(ways + [0] * (b - len(ways)))]
-    return sum(ways)
-
-
 # Most cells one census's oracle_sweep visits: C(n,k) indices, each a
 # k x (n-k) grid of cells.  G(7,16) has 720,720.  The largest admitted
 # k = 2 context, G(2,257), has 16,776,960, and its sweep took 0.35-0.40 s
@@ -191,36 +178,45 @@ def _count_below(bound: tuple[int, ...]) -> int:
 MAX_SWEEP_CELLS = 2**24
 
 
-def _check_pairs(ctx: GrassCtx) -> None:
+def _check_pairs(ctx: GrassCtx) -> int:
     """Raise NotCoprime, or GrassError when ctx has more than MAX_PAIRS pairs.
 
-    Complementing maps {v <= v_min} onto {w >= w_min}, so the two sides
-    have the same size s and the pair count is s * s.  The product of the
-    gaps of v_min is a lower bound on s (a_1 = 1 and each a_i in
-    (v_{i-1}, v_i]); it refuses a far-off context before the DP of
-    _count_below, whose lists grow as long as the last entry of v_min.
+    For coprime k and n the indices v <= v_min are the lattice paths in
+    the k x (n-k) box that stay below its diagonal, and Bizley (1954)
+    counts them as the rational Catalan number s = C(n,k)/n; the indices
+    w >= w_min are as many, so there are s * s pairs.  C(n,j) grows with
+    j = 1..min(k, n-k), so the loop stops once it passes MAX_PAIRS * n,
+    where s alone passes MAX_PAIRS.  Otherwise returns C(n,k).
     """
-    v_min = minimal_pair(ctx).v_min.entries
-    pairs, qualifier = prod(b - a for a, b in zip(v_min, v_min[1:])) ** 2, "at least "
-    if pairs <= MAX_PAIRS:
-        pairs, qualifier = _count_below(v_min) ** 2, ""
+    minimal_pair(ctx)  # raises NotCoprime before any count
+    k, n = ctx.k, ctx.n
+    indices = 1
+    for j in range(1, min(k, n - k) + 1):
+        indices = indices * (n + 1 - j) // j
+        if indices > MAX_PAIRS * n:
+            break
+    pairs = (indices // n) ** 2
     if pairs > MAX_PAIRS:
+        count = f"{pairs:,}" if indices <= MAX_PAIRS * n else f"more than {MAX_PAIRS:,}"
         raise GrassError(
-            f"{ctx} has {qualifier}{pairs:,} admissible pairs; "
-            f"a census analyzes at most {MAX_PAIRS:,}"
+            f"{ctx} has {count} admissible pairs; a census analyzes at most {MAX_PAIRS:,}"
         )
+    return indices
 
 
 def _check_census(ctx: GrassCtx) -> None:
-    """Every check census makes before any work: _check_pairs, then the sweep size."""
-    _check_pairs(ctx)
+    """Every check census makes before any work: _check_pairs, then the sweep size.
+
+    Past MAX_SWEEP_CELLS indices (k = 1 admits any n) the cells are not spelled out.
+    """
+    indices = _check_pairs(ctx)
     k, n = ctx.k, ctx.n
-    cells = comb(n, k) * k * (n - k)
+    cells = indices * k * (n - k)
     if cells > MAX_SWEEP_CELLS:
-        raise GrassError(
-            f"{ctx} has {cells:,} oracle sweep cells ({comb(n, k):,} indices "
-            f"of {k * (n - k)} cells); a census sweeps at most {MAX_SWEEP_CELLS:,}"
-        )
+        count = f"more than {MAX_SWEEP_CELLS:,} oracle sweep cells"
+        if indices <= MAX_SWEEP_CELLS:
+            count = f"{cells:,} oracle sweep cells ({indices:,} indices of {k * (n - k)} cells)"
+        raise GrassError(f"{ctx} has {count}; a census sweeps at most {MAX_SWEEP_CELLS:,}")
 
 
 def admissible_reports(ctx: GrassCtx) -> Iterator[AnalysisReport]:

@@ -15,6 +15,10 @@ from richgit import GrassCtx, census
 from richgit.cli import main, to_json
 
 
+PAIRS_CAP = "admissible pairs; a census analyzes at most 1,048,576"
+SWEEP, CELLS_CAP = "oracle sweep cells", "a census sweeps at most 16,777,216"
+
+
 def refuse_analyze(*args):
     raise AssertionError("a census guard let the work start")
 
@@ -207,13 +211,51 @@ class TestCensus:
         ids=["csv", "json", "text", "verify"],
     )
     def test_gap_product_guard_exit_2(self, capsys, monkeypatch, argv):
-        # refused on a lower bound, before the exact count walks ~n list cells
-        monkeypatch.setattr(richgit.oracle, "_count_below", refuse_analyze)
+        # named for the guard's old lower bound; C(n,2) already passes the cap here
         monkeypatch.setattr(richgit.oracle, "analyze", refuse_analyze)
+        monkeypatch.setattr(richgit.oracle, "oracle_sweep", refuse_analyze)
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""
-        assert "G(3,3000001) has at least 1,000,000,000,000,000,000,000,000 admissible pairs" in err
+        assert err == (
+            "error: G(3,3000001) has more than 1,048,576 admissible pairs; "
+            "a census analyzes at most 1,048,576\n"
+        )
+
+    @pytest.mark.parametrize(
+        "k, n, fmt, message",
+        [
+            (9, 20, "text", f"has 70,526,404 {PAIRS_CAP}"),
+            (2, 259, "text", f"has 17,173,254 {SWEEP} (33,411 indices of 514 cells); {CELLS_CAP}"),
+            (3, 3000001, "text", f"has more than 1,048,576 {PAIRS_CAP}"),
+            (49999, 100000, "csv", f"has more than 1,048,576 {PAIRS_CAP}"),
+            (4001, 8000, "text", f"has more than 1,048,576 {PAIRS_CAP}"),
+            (1, 10**2200 + 1, "text", f"has more than 16,777,216 {SWEEP}; {CELLS_CAP}"),
+        ],
+        ids=["9,20", "2,259", "3,3000001", "49999,100000", "4001,8000", "1,10^2200+1"],
+    )
+    def test_refusal_is_one_bounded_line(self, capsys, monkeypatch, k, n, fmt, message):
+        # a count is named only below 2**48; past its cap the line names the bound
+        # instead (Python refuses to print ints of more than 4,300 digits)
+        monkeypatch.setattr(richgit.oracle, "analyze", refuse_analyze)
+        monkeypatch.setattr(richgit.oracle, "oracle_sweep", refuse_analyze)
+        code, out, err = run_cli(capsys, "census", "-k", str(k), "-n", str(n), "--format", fmt)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: G({k},{n}) {message}\n"
+
+    def test_long_indices_csv(self, capsys):
+        # G(1200,1201) has one pair, each index 1,200 entries long
+        code, out, err = run_cli(capsys, "census", "-k", "1200", "-n", "1201", "--format", "csv")
+        assert (code, err) == (0, "")
+        rows = out.splitlines()
+        assert len(rows) == 2
+        assert rows[1].startswith('1200,1201,"1,2,3,')
+
+    def test_long_indices_text(self, capsys):
+        code, out, err = run_cli(capsys, "census", "-k", "990", "-n", "991")
+        assert (code, err) == (0, "")
+        assert "  total_pairs: 1\n" in out
 
     def test_full_option_removed(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -198,6 +198,13 @@ class TestIntervals:
                 assert indices_below(bound) == [a for a in elems if a <= bound]
                 assert indices_above(bound) == [a for a in elems if a >= bound]
 
+    def test_long_indices_need_no_recursion(self):
+        # G(1200,1201): v_min = (1..1200) and w_min = (2..1201) bound one index each
+        ctx = GrassCtx(1200, 1201)
+        low, high = tuple(range(1, 1201)), tuple(range(2, 1202))
+        assert [a.entries for a in indices_below(make_index(low, ctx))] == [low]
+        assert [a.entries for a in indices_above(make_index(high, ctx))] == [high]
+
 
 class TestPublicSurface:
     def test_all_matches_imports(self):

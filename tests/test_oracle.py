@@ -1,4 +1,7 @@
-from math import gcd, prod
+import re
+import time
+from itertools import accumulate
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -27,7 +30,7 @@ from richgit.oracle import (
     MAX_PAIRS,
     MAX_SWEEP_CELLS,
     _check_census,
-    _count_below,
+    _check_pairs,
     admissible_reports,
 )
 
@@ -42,8 +45,21 @@ def refuse(*args):
     raise AssertionError("a census started before every check passed")
 
 
-def gap_product(e):
-    return prod(b - a for a, b in zip(e, e[1:]))
+def _count_below(bound):
+    """Number of strictly increasing tuples a with 1 <= a_i <= bound_i.
+
+    A DP over positions, independent of the closed form: ways[x] counts
+    the prefixes ending in entry x, with ways[0] = 1 for the empty prefix.
+    """
+    ways = [1]
+    for b in bound:
+        ways = [0, *accumulate(ways + [0] * (b - len(ways)))]
+    return sum(ways)
+
+
+def side_size(ctx):
+    """Bizley's rational Catalan number C(n,k)/n."""
+    return comb(ctx.n, ctx.k) // ctx.n
 
 
 def reference_hook_oracle(w):
@@ -156,12 +172,61 @@ class TestCensus:
             rep = census(ctx)
             assert rep.total_pairs == len(below) * len(above)
 
+    def test_closed_form_matches_the_position_dp(self):
+        for ctx in default_contexts(40):
+            assert _count_below(minimal_pair(ctx).v_min.entries) == side_size(ctx), ctx
+        assert [side_size(GrassCtx(k, n)) for k, n in [(4, 9), (5, 14), (7, 16), (9, 20)]] == [
+            14, 143, 715, 8398
+        ]
+
     def test_guard_side_count_matches_intervals(self):
-        # by duality both sides have the size the guard counts on the v side
         for ctx in default_contexts(16):
             mp = minimal_pair(ctx)
-            s = _count_below(mp.v_min.entries)
+            s = side_size(ctx)
             assert s == len(indices_below(mp.v_min)) == len(indices_above(mp.w_min)), ctx
+
+    def test_guard_counts_in_closed_form(self):
+        # exact under the cap, so every count a refusal names is at most 2 ** 40
+        for ctx in default_contexts(40):
+            pairs = side_size(ctx) ** 2
+            if pairs <= MAX_PAIRS:
+                assert _check_pairs(ctx) == comb(ctx.n, ctx.k), ctx
+            else:
+                count = f"{pairs:,}" if side_size(ctx) <= MAX_PAIRS else f"more than {MAX_PAIRS:,}"
+                message = "^" + re.escape(f"{ctx} has {count} admissible pairs;")
+                with pytest.raises(GrassError, match=message):
+                    _check_pairs(ctx)
+
+    def test_guard_cap_is_exact_at_the_boundary(self):
+        # C(2**21 + 1, 2) = 2**20 * n exactly: s = MAX_PAIRS is still spelled out
+        with pytest.raises(GrassError, match=r"^G\(2,2097153\) has 1,099,511,627,776 admissible"):
+            _check_pairs(GrassCtx(2, 2**21 + 1))
+        with pytest.raises(GrassError, match=r"^G\(2,2097155\) has more than 1,048,576 admissible"):
+            _check_pairs(GrassCtx(2, 2**21 + 3))
+        # C(n,2) = 2**20 * n already at j = 2 < 5: the loop must go on past the cap
+        with pytest.raises(GrassError, match=r"^G\(5,2097153\) has more than 1,048,576 admissible"):
+            _check_pairs(GrassCtx(5, 2**21 + 1))
+
+    def test_verify_totals_are_squares_of_the_closed_form(self):
+        ctxs = default_contexts()
+        rep = verify()
+        assert [c.ctx for c in rep.censuses] == ctxs
+        assert [c.total_pairs for c in rep.censuses] == [side_size(c) ** 2 for c in ctxs]
+
+    @pytest.mark.parametrize(
+        "ctx, refused",
+        [(GrassCtx(500000, 1000001), True), (GrassCtx(20000, 20001), False)],
+        ids=["far-refused", "narrow-passes"],
+    )
+    def test_guard_cost_is_bounded(self, ctx, refused):
+        # a guard whose cost grows with k or with the digits of its count takes seconds here
+        start = time.perf_counter()
+        if refused:
+            with pytest.raises(GrassError, match="more than 1,048,576 admissible pairs"):
+                _check_pairs(ctx)
+        else:
+            assert _check_pairs(ctx) == ctx.n
+        assert time.perf_counter() - start < 2
 
     def test_guard_refuses_before_analyzing(self):
         reports = admissible_reports(GrassCtx(9, 20))
@@ -170,25 +235,17 @@ class TestCensus:
         with pytest.raises(GrassError, match="1,048,576"):
             census(GrassCtx(9, 20))
 
-    def test_gap_product_is_a_lower_bound(self):
-        # a_1 = 1 and each a_i in (v_{i-1}, v_i] give prod of gaps distinct tuples
-        for ctx in default_contexts(40):
-            e = minimal_pair(ctx).v_min.entries
-            assert gap_product(e) <= _count_below(e), ctx
-        gaps = {
-            (k, n): gap_product(minimal_pair(GrassCtx(k, n)).v_min.entries)
-            for k, n in [(9, 20), (2, 257), (7, 16)]
-        }
-        assert gaps == {(9, 20): 384, (2, 257): 128, (7, 16): 96}
-        assert max(gaps.values()) ** 2 <= MAX_PAIRS
-
     def test_gap_product_refuses_before_the_count(self, monkeypatch):
-        # the count's DP would build lists about 3,000,001 long
-        monkeypatch.setattr(richgit.oracle, "_count_below", refuse)
+        # named for the guard's old lower bound; C(n,2) already passes the cap here
         monkeypatch.setattr(richgit.oracle, "analyze", refuse)
         monkeypatch.setattr(richgit.oracle, "oracle_sweep", refuse)
+        monkeypatch.setattr(richgit.oracle, "indices_below", refuse)
+        monkeypatch.setattr(richgit.oracle, "indices_above", refuse)
         ctx = GrassCtx(3, 3000001)
-        message = r"G\(3,3000001\) has at least 1,000,000,000,000,000,000,000,000 admissible pairs"
+        message = (
+            r"^G\(3,3000001\) has more than 1,048,576 admissible pairs; "
+            r"a census analyzes at most 1,048,576$"
+        )
         with pytest.raises(GrassError, match=message):
             census(ctx)
         with pytest.raises(GrassError, match=message):
@@ -197,8 +254,9 @@ class TestCensus:
             verify([ctx])
 
     def test_guard_admits_the_largest_benchmark_context(self):
-        # G(7,16) has 715 ** 2 = 511,225 pairs, under MAX_PAIRS
-        assert _count_below(minimal_pair(GrassCtx(7, 16)).v_min.entries) ** 2 <= MAX_PAIRS
+        # G(7,16) has (C(16,7)/16) ** 2 = 715 ** 2 = 511,225 pairs, under MAX_PAIRS
+        assert side_size(GrassCtx(7, 16)) ** 2 == 511225 <= MAX_PAIRS
+        assert _check_pairs(GrassCtx(7, 16)) == comb(16, 7)
         rep = next(admissible_reports(GrassCtx(7, 16)))
         assert rep.pair.v.entries == tuple(range(1, 8))
 
@@ -210,6 +268,19 @@ class TestCensus:
             GrassError, match=r"G\(2,259\) has 17,173,254 oracle sweep cells .* at most 16,777,216"
         ):
             census(GrassCtx(2, 259))
+
+    def test_sweep_guard_names_counts_up_to_its_cap_of_indices(self):
+        # k = 1 passes the pair guard for every n; past 2**24 indices only the bound is named
+        with pytest.raises(GrassError, match=re.escape(
+            "G(1,16777216) has 281,474,959,933,440 oracle sweep cells "
+            "(16,777,216 indices of 16777215 cells); a census sweeps at most 16,777,216"
+        )):
+            _check_census(GrassCtx(1, 2**24))
+        with pytest.raises(GrassError, match=re.escape(
+            "G(1,16777217) has more than 16,777,216 oracle sweep cells; "
+            "a census sweeps at most 16,777,216"
+        )):
+            _check_census(GrassCtx(1, 2**24 + 1))
 
     def test_sweep_guard_bound(self):
         # the largest admitted k = 2 context, and every context the
