@@ -40,6 +40,27 @@ class EmptyRichardson(GrassError):
     """Pair (v, w) with v not below w names an empty Richardson variety."""
 
 
+def _fmt_int(x: int) -> str:
+    """x in full up to 20 digits; past that its first and last six digits and length.
+
+    For error messages, which may name any k, n or entry a caller passes:
+    the text stays short, and no more than 20 digits are ever converted.
+    """
+    if -(10**20) < x < 10**20:
+        return str(x)
+    sign, x = ("-", -x) if x < 0 else ("", x)
+    # 2**(b-1) <= x < 2**b, so x has floor(b * log10(2)) digits or one more
+    digits = int(x.bit_length() * 0.30102999566398120)
+    if 10**digits <= x:
+        digits += 1
+    return f"{sign}{x // 10 ** (digits - 6)}...{x % 10**6:06d} ({digits} digits)"
+
+
+def _fmt_ctx(ctx: "GrassCtx") -> str:
+    """str(ctx) for error messages: G(k,n) with k and n as _fmt_int writes them."""
+    return f"G({_fmt_int(ctx.k)},{_fmt_int(ctx.n)})"
+
+
 @dataclass(frozen=True)
 class GrassCtx:
     """The ambient pair (k, n) with 1 <= k < n."""
@@ -51,7 +72,9 @@ class GrassCtx:
         if not (type(self.k) is int and type(self.n) is int):
             raise GrassError(f"k and n must be integers, got k={self.k!r} n={self.n!r}")
         if not 1 <= self.k < self.n:
-            raise GrassError(f"need 1 <= k < n, got k={self.k} n={self.n}")
+            raise GrassError(
+                f"need 1 <= k < n, got k={_fmt_int(self.k)} n={_fmt_int(self.n)}"
+            )
 
     def coprime(self) -> bool:
         return math.gcd(self.k, self.n) == 1
@@ -104,21 +127,26 @@ class GrassIndex:
         k, n = self.ctx.k, self.ctx.n
         if len(self.entries) != k:
             raise WrongLength(
-                f"expected {k} entries for {self.ctx}, got {len(self.entries)}"
+                f"expected {_fmt_int(k)} entries for {_fmt_ctx(self.ctx)}, "
+                f"got {len(self.entries)}"
             )
         prev = 0
         for pos, e in enumerate(self.entries, start=1):
             if not 1 <= e <= n:
-                raise OutOfRange(f"entry {e} at position {pos} is outside [1, {n}]")
+                raise OutOfRange(
+                    f"entry {_fmt_int(e)} at position {pos} is outside [1, {_fmt_int(n)}]"
+                )
             if e <= prev:
                 raise NotStrictlyIncreasing(
-                    f"entry {e} at position {pos} does not exceed {prev}"
+                    f"entry {_fmt_int(e)} at position {pos} does not exceed {_fmt_int(prev)}"
                 )
             prev = e
 
     def __le__(self, other: "GrassIndex") -> bool:
         if self.ctx is not other.ctx and self.ctx != other.ctx:
-            raise ContextMismatch(f"cannot compare {self.ctx} with {other.ctx}")
+            raise ContextMismatch(
+                f"cannot compare {_fmt_ctx(self.ctx)} with {_fmt_ctx(other.ctx)}"
+            )
         return all(map(le, self.entries, other.entries))
 
     def __ge__(self, other: "GrassIndex") -> bool:
@@ -173,7 +201,7 @@ class RichardsonId:
     def __post_init__(self) -> None:
         if self.v.ctx is not self.w.ctx and self.v.ctx != self.w.ctx:
             raise ContextMismatch(
-                f"v is from {self.v.ctx} but w is from {self.w.ctx}"
+                f"v is from {_fmt_ctx(self.v.ctx)} but w is from {_fmt_ctx(self.w.ctx)}"
             )
         if not self.v <= self.w:
             raise EmptyRichardson(
@@ -202,7 +230,7 @@ def richardson_dim(rid: RichardsonId) -> int:
     return length(rid.w) - length(rid.v)
 
 
-def _interval(lo: tuple[int, ...], hi: tuple[int, ...], ctx: GrassCtx) -> list[GrassIndex]:
+def _interval(lo: tuple[int, ...], hi: tuple[int, ...]) -> list[tuple[int, ...]]:
     """All strictly increasing a with lo_i <= a_i <= hi_i, in lexicographic order.
 
     Built level by level: each prefix is extended by every x in
@@ -211,15 +239,17 @@ def _interval(lo: tuple[int, ...], hi: tuple[int, ...], ctx: GrassCtx) -> list[G
     prefixes = [(x,) for x in range(lo[0], hi[0] + 1)]
     for a, b in zip(lo[1:], hi[1:]):
         prefixes = [p + (x,) for p in prefixes for x in range(max(p[-1] + 1, a), b + 1)]
-    return [_index(p, ctx) for p in prefixes]
+    return prefixes
 
 
 def indices_below(bound: GrassIndex) -> list[GrassIndex]:
     """All a in I(k,n) with a <= bound, in lexicographic order."""
-    return _interval(tuple(range(1, bound.ctx.k + 1)), bound.entries, bound.ctx)
+    ctx = bound.ctx
+    return [_index(p, ctx) for p in _interval(tuple(range(1, ctx.k + 1)), bound.entries)]
 
 
 def indices_above(bound: GrassIndex) -> list[GrassIndex]:
     """All a in I(k,n) with a >= bound, in lexicographic order."""
-    k, n = bound.ctx.k, bound.ctx.n
-    return _interval(bound.entries, tuple(range(n - k + 1, n + 1)), bound.ctx)
+    ctx = bound.ctx
+    k, n = ctx.k, ctx.n
+    return [_index(p, ctx) for p in _interval(bound.entries, tuple(range(n - k + 1, n + 1)))]

@@ -28,6 +28,8 @@ from .core import (
     GrassError,
     GrassIndex,
     RichardsonId,
+    _fmt_ctx,
+    _fmt_int,
     make_index,
     richardson_dim,
 )
@@ -59,7 +61,7 @@ class MinimalPair:
 def minimal_pair(ctx: GrassCtx) -> MinimalPair:
     """Compute (w_min, v_min) for a coprime context; raises NotCoprime otherwise."""
     if not ctx.coprime():
-        raise NotCoprime(f"k={ctx.k} and n={ctx.n} are not coprime")
+        raise NotCoprime(f"k={_fmt_int(ctx.k)} and n={_fmt_int(ctx.n)} are not coprime")
     k, n = ctx.k, ctx.n
     a = tuple((i * n + k - 1) // k for i in range(1, k + 1))
     w_min = make_index(a, ctx)
@@ -72,7 +74,9 @@ def minimal_pair(ctx: GrassCtx) -> MinimalPair:
 def has_semistable(rid: RichardsonId, mp: MinimalPair) -> bool:
     """True iff X^v_w admits semistable points: v <= v_min and w >= w_min."""
     if rid.ctx != mp.ctx:
-        raise ContextMismatch(f"pair is from {rid.ctx}, minimal pair from {mp.ctx}")
+        raise ContextMismatch(
+            f"pair is from {_fmt_ctx(rid.ctx)}, minimal pair from {_fmt_ctx(mp.ctx)}"
+        )
     v_min, w_min = mp.v_min.entries, mp.w_min.entries
     return all(map(le, rid.v.entries, v_min)) and all(map(le, w_min, rid.w.entries))
 
@@ -180,7 +184,9 @@ def analyze(
     wi = w if isinstance(w, GrassIndex) else make_index(w, ctx)
     rid = RichardsonId(vi, wi)
     if rid.ctx is not ctx and rid.ctx != ctx:
-        raise ContextMismatch(f"pair is from {rid.ctx}, minimal pair from {mp.ctx}")
+        raise ContextMismatch(
+            f"pair is from {_fmt_ctx(rid.ctx)}, minimal pair from {_fmt_ctx(mp.ctx)}"
+        )
 
     # Semistability factors by side: (v, w) admits semistable points iff
     # v <= v_min and w >= w_min.  A Schubert-side component (v, w') keeps

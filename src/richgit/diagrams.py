@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .core import GrassCtx, GrassError, GrassIndex, RichardsonId, _index
+from .core import GrassCtx, GrassError, GrassIndex, RichardsonId, _fmt_ctx, _fmt_int, _index
 
 
 @dataclass(frozen=True)
@@ -37,13 +37,17 @@ class BoxedPartition:
                 raise GrassError(f"row {i} has {p!r} boxes, not an integer")
         k, width = self.ctx.k, self.ctx.n - self.ctx.k
         if len(self.parts) != k:
-            raise GrassError(f"expected {k} rows for {self.ctx}, got {len(self.parts)}")
+            raise GrassError(
+                f"expected {_fmt_int(k)} rows for {_fmt_ctx(self.ctx)}, got {len(self.parts)}"
+            )
         prev = 0
         for i, p in enumerate(self.parts, start=1):
             if not 0 <= p <= width:
-                raise GrassError(f"row {i} has {p} boxes, outside [0, {width}]")
+                raise GrassError(
+                    f"row {i} has {_fmt_int(p)} boxes, outside [0, {_fmt_int(width)}]"
+                )
             if p < prev:
-                raise GrassError(f"row {i} has {p} boxes, fewer than row {i - 1}")
+                raise GrassError(f"row {i} has {_fmt_int(p)} boxes, fewer than row {i - 1}")
             prev = p
 
     def __str__(self) -> str:
@@ -111,7 +115,10 @@ def _remove_hook(w: tuple[int, ...], j: int, s: int) -> tuple[int, ...]:
     entries s..j become the consecutive run w_s - 1, ..., w_{j-1}: the
     entry w_j leaves and w_s - 1 enters.
     """
-    return w[:s] + (w[s] - 1,) + w[s:j] + w[j + 1 :]
+    out = list(w)
+    del out[j]
+    out.insert(s, w[s] - 1)
+    return tuple(out)
 
 
 def render_skew(rid: RichardsonId) -> str:

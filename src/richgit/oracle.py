@@ -4,7 +4,9 @@ hook_oracle_components recomputes Schubert singular loci from the cells
 of the diagram, held as one int bitmask per row: valleys and hooks are
 bit operations on neighbouring rows, and entries are recounted from the
 cells left.  It shares none of the hook-removal code, so the two routes
-check each other.
+check each other.  oracle_sweep runs both on entry tuples
+(singular._schubert_components and _hook_oracle_entries) over all of
+I(k,n), and builds indices only to report a disagreement.
 
 admissible_reports analyzes every pair (v, w) with v <= v_min and
 w >= w_min of one coprime context.  census aggregates it, cross-checking
@@ -17,6 +19,7 @@ verify aggregates censuses over a context list (default: all coprime
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import gcd
 from typing import Iterator
 
@@ -24,7 +27,7 @@ from .core import (
     GrassCtx,
     GrassError,
     GrassIndex,
-    enumerate_indices,
+    _fmt_ctx,
     indices_above,
     indices_below,
 )
@@ -35,7 +38,7 @@ from .criteria import (
     analyze,
     minimal_pair,
 )
-from .singular import schubert_singular_components
+from .singular import _schubert_components
 
 ERRATUM_NOTES: tuple[str, ...] = (
     "Known typo in the literature: the worked singular locus of X((3,5,7,9)) "
@@ -56,8 +59,8 @@ ERRATUM_NOTES: tuple[str, ...] = (
 )
 
 
-def hook_oracle_components(w: GrassIndex) -> frozenset[GrassIndex]:
-    """Singular-locus components of X(w), recomputed from explicit cell sets.
+def _hook_oracle_entries(e: tuple[int, ...]) -> set[tuple[int, ...]]:
+    """Entries of the singular-locus components of X(w), w with entries e.
 
     Each row of the diagram is one int bitmask, bit c - 1 standing for the
     cell in column c.  A valley is a cell with cells to its south and east
@@ -68,8 +71,7 @@ def hook_oracle_components(w: GrassIndex) -> frozenset[GrassIndex]:
     bit c - 1 in every lower row and keeps only the columns left of c in
     row j, and entry i of the component is the cell count of row i plus i.
     """
-    ctx = w.ctx
-    rows = [(1 << (e - i)) - 1 for i, e in enumerate(w.entries, start=1)]
+    rows = [(1 << (x - i)) - 1 for i, x in enumerate(e, start=1)]
     out = set()
     for j in range(1, len(rows)):
         row, below = rows[j], rows[j - 1]
@@ -78,9 +80,18 @@ def hook_oracle_components(w: GrassIndex) -> frozenset[GrassIndex]:
             bit = valleys & -valleys
             valleys ^= bit
             rest = [r & ~bit for r in rows[:j]] + [row & (bit - 1)] + rows[j + 1 :]
-            entries = tuple(r.bit_count() + i for i, r in enumerate(rest, start=1))
-            out.add(GrassIndex(entries, ctx))
-    return frozenset(out)
+            out.add(tuple(r.bit_count() + i for i, r in enumerate(rest, start=1)))
+    return out
+
+
+def hook_oracle_components(w: GrassIndex) -> frozenset[GrassIndex]:
+    """Singular-locus components of X(w), recomputed from explicit cell sets.
+
+    _hook_oracle_entries on the entries of w, each result validated by the
+    GrassIndex constructor.
+    """
+    ctx = w.ctx
+    return frozenset([GrassIndex(c, ctx) for c in _hook_oracle_entries(w.entries)])
 
 
 @dataclass(frozen=True)
@@ -102,19 +113,19 @@ class OracleMismatch:
 def oracle_sweep(ctx: GrassCtx) -> tuple[OracleMismatch, ...]:
     """Compare formula and oracle components for every w in I(k,n).
 
-    Both sides are compared as sets of entry tuples (every index shares
-    ctx); the sorted OracleMismatch is built only where they differ.
+    Both sides run on entry tuples and are compared as sets; validated
+    indices, sorted by entries, are built only for a w where they differ.
     """
     out = []
-    for w in enumerate_indices(ctx):
-        formula = schubert_singular_components(w)
-        oracle = hook_oracle_components(w)
-        if {c.entries for c in formula} != {c.entries for c in oracle}:
+    for e in combinations(range(1, ctx.n + 1), ctx.k):
+        formula = set(_schubert_components(e))
+        oracle = _hook_oracle_entries(e)
+        if formula != oracle:
             out.append(
                 OracleMismatch(
-                    w=w,
-                    formula=tuple(sorted(frozenset(formula), key=lambda x: x.entries)),
-                    oracle=tuple(sorted(oracle, key=lambda x: x.entries)),
+                    w=GrassIndex(e, ctx),
+                    formula=tuple([GrassIndex(c, ctx) for c in sorted(formula)]),
+                    oracle=tuple([GrassIndex(c, ctx) for c in sorted(oracle)]),
                 )
             )
     return tuple(out)
@@ -199,7 +210,8 @@ def _check_pairs(ctx: GrassCtx) -> int:
     if pairs > MAX_PAIRS:
         count = f"{pairs:,}" if indices <= MAX_PAIRS * n else f"more than {MAX_PAIRS:,}"
         raise GrassError(
-            f"{ctx} has {count} admissible pairs; a census analyzes at most {MAX_PAIRS:,}"
+            f"{_fmt_ctx(ctx)} has {count} admissible pairs; "
+            f"a census analyzes at most {MAX_PAIRS:,}"
         )
     return indices
 
@@ -216,7 +228,9 @@ def _check_census(ctx: GrassCtx) -> None:
         count = f"more than {MAX_SWEEP_CELLS:,} oracle sweep cells"
         if indices <= MAX_SWEEP_CELLS:
             count = f"{cells:,} oracle sweep cells ({indices:,} indices of {k * (n - k)} cells)"
-        raise GrassError(f"{ctx} has {count}; a census sweeps at most {MAX_SWEEP_CELLS:,}")
+        raise GrassError(
+            f"{_fmt_ctx(ctx)} has {count}; a census sweeps at most {MAX_SWEEP_CELLS:,}"
+        )
 
 
 def admissible_reports(ctx: GrassCtx) -> Iterator[AnalysisReport]:

@@ -5,14 +5,14 @@ removing the hook through that valley.  In terms of the part sequence
 (p_1^{q_1}, ..., p_r^{q_r}) of X(w) this is the classical run-length
 substitution: the r - 1 components replace the adjacent runs
 p_i^{q_i}, p_{i+1}^{q_{i+1}} with (p_i - 1)^{q_i + 1}, p_{i+1}^{q_{i+1} - 1}.
-It is computed on the entries of w (diagrams._valleys and
-diagrams._remove_hook): the entry of the valley row leaves and one less
-than the first entry of the run below it enters.
+It is computed on the entries of w by _schubert_components (over
+diagrams._valleys and diagrams._remove_hook): the entry of the valley row
+leaves and one less than the first entry of the run below it enters.
 
 Opposite side: X^v is isomorphic to X(v') for the complemented index, so
 its components are the complements of the Schubert-side components of v'.
-That is computed in one pass on entries: complement v, remove each valley's
-hook, complement each result back.
+That is computed on entries: complement v, run _schubert_components,
+complement each result back.
 
 Richardson: the singular locus of X^v_w is the union of the Schubert-side
 components intersected with X^v and the opposite-side components
@@ -33,10 +33,11 @@ SCHUBERT_SIDE = "SCHUBERT_SIDE"
 OPPOSITE_SIDE = "OPPOSITE_SIDE"
 
 # Entries kept by each lru cache of the library (here and minimal_pair).
-# A default verify fills 4,568 Schubert-side and 431 opposite-side
-# entries, and 6,000 random analyze calls in G(7,16)..G(11,24) about
-# 3,750 of each, so neither evicts; larger sweeps evict instead of
-# growing without bound.
+# A default verify fills 431 entries of each, one per index of the
+# rectangle's sides (the oracle sweep runs on entry tuples, uncached),
+# and 6,000 random analyze calls in G(7,16)..G(11,24) about 3,750 of
+# each, so neither evicts; larger sweeps evict instead of growing
+# without bound.
 CACHE_SIZE = 2**16
 
 
@@ -57,6 +58,16 @@ def _component(pair: RichardsonId, source: str) -> SingularComponent:
     return comp
 
 
+def _schubert_components(e: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Entries of the singular-locus components of X(w), w with entries e.
+
+    One component per valley, bottom row first, each in the I(k,n) of e.
+    The only place hook removal makes components; the public functions
+    below wrap it.
+    """
+    return [_remove_hook(e, j, s) for j, s in _valleys(e)]
+
+
 @lru_cache(maxsize=CACHE_SIZE)
 def schubert_singular_components(w: GrassIndex) -> tuple[GrassIndex, ...]:
     """Indices of the r - 1 singular-locus components of X(w).
@@ -64,8 +75,8 @@ def schubert_singular_components(w: GrassIndex) -> tuple[GrassIndex, ...]:
     Empty when the part sequence has at most one nonzero run (X(w) smooth).
     Components are ordered by the valley they remove, bottom row first.
     """
-    e, ctx = w.entries, w.ctx
-    return tuple(_index(_remove_hook(e, j, s), ctx) for j, s in _valleys(e))
+    ctx = w.ctx
+    return tuple([_index(c, ctx) for c in _schubert_components(w.entries)])
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -76,10 +87,8 @@ def opposite_singular_components(v: GrassIndex) -> tuple[GrassIndex, ...]:
     in the same order.
     """
     n, ctx = v.ctx.n, v.ctx
-    c = _complement(v.entries, n)
-    return tuple(
-        _index(_complement(_remove_hook(c, j, s), n), ctx) for j, s in _valleys(c)
-    )
+    components = _schubert_components(_complement(v.entries, n))
+    return tuple([_index(_complement(c, n), ctx) for c in components])
 
 
 def richardson_singular_components(

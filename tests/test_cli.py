@@ -1,14 +1,18 @@
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 from array import array
-from math import comb
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import richgit.oracle
 from richgit import GrassCtx, census
@@ -17,6 +21,15 @@ from richgit.cli import main, to_json
 
 PAIRS_CAP = "admissible pairs; a census analyzes at most 1,048,576"
 SWEEP, CELLS_CAP = "oracle sweep cells", "a census sweeps at most 16,777,216"
+
+
+# 10**2200 as refusal messages write it: leading and trailing digits, then the length
+BIG = 10**2200
+BIG_TEXT = "100000...000000 (2201 digits)"
+
+
+def census_argv(k, n, fmt="text"):
+    return ["census", "-k", str(k), "-n", str(n), "--format", fmt]
 
 
 def refuse_analyze(*args):
@@ -223,26 +236,52 @@ class TestCensus:
         )
 
     @pytest.mark.parametrize(
-        "k, n, fmt, message",
+        "argv, line",
         [
-            (9, 20, "text", f"has 70,526,404 {PAIRS_CAP}"),
-            (2, 259, "text", f"has 17,173,254 {SWEEP} (33,411 indices of 514 cells); {CELLS_CAP}"),
-            (3, 3000001, "text", f"has more than 1,048,576 {PAIRS_CAP}"),
-            (49999, 100000, "csv", f"has more than 1,048,576 {PAIRS_CAP}"),
-            (4001, 8000, "text", f"has more than 1,048,576 {PAIRS_CAP}"),
-            (1, 10**2200 + 1, "text", f"has more than 16,777,216 {SWEEP}; {CELLS_CAP}"),
+            (census_argv(9, 20), f"G(9,20) has 70,526,404 {PAIRS_CAP}"),
+            (
+                census_argv(2, 259),
+                f"G(2,259) has 17,173,254 {SWEEP} (33,411 indices of 514 cells); {CELLS_CAP}",
+            ),
+            (census_argv(3, 3000001), f"G(3,3000001) has more than 1,048,576 {PAIRS_CAP}"),
+            (
+                census_argv(49999, 100000, "csv"),
+                f"G(49999,100000) has more than 1,048,576 {PAIRS_CAP}",
+            ),
+            (census_argv(4001, 8000), f"G(4001,8000) has more than 1,048,576 {PAIRS_CAP}"),
+            (
+                census_argv(1, BIG + 1),
+                f"G(1,100000...000001 (2201 digits)) has more than 16,777,216 {SWEEP}; {CELLS_CAP}",
+            ),
+            (
+                census_argv(3, 10**30 + 1),
+                f"G(3,100000...000001 (31 digits)) has more than 1,048,576 {PAIRS_CAP}",
+            ),
+            (census_argv(2, BIG), f"k=2 and n={BIG_TEXT} are not coprime"),
+            (["minimal", "-k", "2", "-n", str(BIG)], f"k=2 and n={BIG_TEXT} are not coprime"),
+            (["verify", "--ctx", f"2,{BIG}"], f"k=2 and n={BIG_TEXT} are not coprime"),
+            (census_argv(BIG, 3), f"need 1 <= k < n, got k={BIG_TEXT} n=3"),
+            (
+                ["analyze", "-k", "2", "-n", "5", "--v", f"1,{BIG}", "--w", "3,5"],
+                f"entry {BIG_TEXT} at position 2 is outside [1, 5]",
+            ),
         ],
-        ids=["9,20", "2,259", "3,3000001", "49999,100000", "4001,8000", "1,10^2200+1"],
+        ids=[
+            "9,20", "2,259", "3,3000001", "49999,100000", "4001,8000", "1,10^2200+1",
+            "3,10^30+1", "2,10^2200", "minimal-2,10^2200", "verify-2,10^2200", "10^2200,3",
+            "analyze-entry-10^2200",
+        ],
     )
-    def test_refusal_is_one_bounded_line(self, capsys, monkeypatch, k, n, fmt, message):
-        # a count is named only below 2**48; past its cap the line names the bound
-        # instead (Python refuses to print ints of more than 4,300 digits)
+    def test_refusal_is_one_bounded_line(self, capsys, monkeypatch, argv, line):
+        # a count is named only below 2**48, and k, n or an entry in full only up
+        # to 20 digits (Python refuses to print ints of more than 4,300 digits)
         monkeypatch.setattr(richgit.oracle, "analyze", refuse_analyze)
         monkeypatch.setattr(richgit.oracle, "oracle_sweep", refuse_analyze)
-        code, out, err = run_cli(capsys, "census", "-k", str(k), "-n", str(n), "--format", fmt)
+        code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""
-        assert err == f"error: G({k},{n}) {message}\n"
+        assert err == f"error: {line}\n"
+        assert len(err.encode()) <= 128
 
     def test_long_indices_csv(self, capsys):
         # G(1200,1201) has one pair, each index 1,200 entries long
@@ -319,6 +358,76 @@ class TestOutFile:
         assert not target.parent.exists()
 
 
+MALFORMED = st.sampled_from(["", ",", "1,,2", "1,2,", "x", "1.5", " ", "3,a", "0x3"])
+PAIR_COMMANDS = ("analyze", "singular", "render")
+
+
+@st.composite
+def cli_argv(draw):
+    """argv from a small grammar: the six commands, k and n up to 12, malformed values.
+
+    About one value in ten is malformed; index tuples are mostly k-subsets of [1, n].
+    """
+
+    def value(text):
+        return draw(MALFORMED) if draw(st.integers(0, 9)) == 0 else text
+
+    def index(k, n):
+        if draw(st.integers(0, 3)):
+            xs = sorted(draw(st.permutations(range(1, max(n, 1) + 1)))[: max(k, 0)])
+        else:
+            xs = draw(st.lists(st.integers(-1, 13), max_size=6))
+        return value(",".join(map(str, xs)))
+
+    command = draw(st.sampled_from(("minimal", "census", "verify") + PAIR_COMMANDS))
+    argv = [command]
+    if command == "verify":
+        for _ in range(draw(st.integers(1, 2))):
+            k, n = draw(st.integers(-1, 12)), draw(st.integers(-1, 12))
+            argv += ["--ctx", value(f"{k},{n}")]
+    else:
+        k, n = draw(st.integers(-1, 12)), draw(st.integers(-1, 12))
+        argv += ["-k", value(str(k)), "-n", value(str(n))]
+        if command in PAIR_COMMANDS:
+            argv += ["--v", index(k, n), "--w", index(k, n)]
+    if draw(st.booleans()):
+        argv += ["--format", draw(st.sampled_from(["text", "json", "csv"]))]
+    return argv
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(cli_argv())
+@example(["verify", "--ctx", "3,8", "--format", "json"])
+@example(["analyze", "-k", "4", "-n", "9", "--v", "1,,2", "--w", "3,5,7,9"])
+@example(["census", "-k", "4", "-n", "6", "--format", "csv"])
+def test_exit_codes_and_error_lines(argv):
+    # exit 0/1 write stdout only; exit 2 writes one error line, after argparse's
+    # usage text when the argv does not parse
+    out, err = io.StringIO(), io.StringIO()
+    parsed = True
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code, parsed = exc.code, False
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2)
+    assert parsed or code == 2
+    if code == 1:
+        assert argv[0] == "verify"
+    if code != 2:
+        assert out and err == ""
+        return
+    assert out == ""
+    if parsed:
+        assert re.fullmatch(r"error: [^\n]+\n", err), err
+    else:
+        lines = err.splitlines()
+        assert lines[0].startswith("usage: richgit")
+        assert re.fullmatch(r"richgit( \w+)?: error: .+", lines[-1]), err
+        assert sum("error:" in line for line in lines) == 1
+
+
 SMOKE_GOLDENS = json.loads(
     (Path(__file__).parent.parent / "perfbench" / "goldens.json").read_text()
 )["smoke_cli"]
@@ -353,8 +462,9 @@ def test_tracer_output_matches_untraced(capsys, tmp_path):
     meta = json.loads((tmp_path / "trace.json").read_text())
     counts = meta["counts"]
     assert counts["core.index_validations"] > 0
-    # the sweep calls the public oracle once per index of I(3,8)
-    assert counts["oracle.hook_oracle_components"] == comb(8, 3)
+    # the sweep runs on entry tuples: it calls neither public oracle nor formula
+    # (test_oracle.py::TestOracleSweep counts its calls of the tuple oracle)
+    assert counts["oracle.hook_oracle_components"] == 0
     assert counts["core.bruhat_cmp"] > 0
     # the per-layer split sees the component listing inside each analyze
     with open(tmp_path / "trace.bin", "rb") as fh:
@@ -362,6 +472,9 @@ def test_tracer_output_matches_untraced(capsys, tmp_path):
         names.fromfile(fh, meta["spans"])
         parents.fromfile(fh, meta["spans"])
     label = meta["names"]
+    sweeps = [i for i, n in enumerate(names) if label[n] == "oracle.oracle_sweep"]
+    assert [label[names[parents[i]]] for i in sweeps] == ["oracle.census"]
+    assert not any(p in sweeps for p in parents)
     parent_of = [
         label[names[p]] if p >= 0 else None
         for n, p in zip(names, parents)

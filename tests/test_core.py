@@ -24,6 +24,7 @@ from richgit import (
     make_index,
     richardson_dim,
 )
+from richgit.core import _fmt_ctx, _fmt_int
 
 G49 = GrassCtx(4, 9)
 
@@ -54,6 +55,38 @@ class TestGrassCtx:
     def test_coprime(self):
         assert GrassCtx(4, 9).coprime()
         assert not GrassCtx(4, 6).coprime()
+
+
+class TestErrorNumbers:
+    def test_full_up_to_twenty_digits(self):
+        for x in (0, 7, -7, 10**19, 10**20 - 1, -(10**20) + 1):
+            assert _fmt_int(x) == str(x)
+        assert _fmt_ctx(G49) == str(G49) == "G(4,9)"
+        assert _fmt_ctx(GrassCtx(3, 10**20 - 1)) == str(GrassCtx(3, 10**20 - 1))
+
+    def test_abbreviated_past_twenty_digits(self):
+        assert _fmt_int(10**20) == "100000...000000 (21 digits)"
+        assert _fmt_int(-(10**20) - 7) == "-100000...000007 (21 digits)"
+        assert _fmt_int(int("123456789" * 30)) == "123456...456789 (270 digits)"
+        # past Python's 4,300-digit limit for str(int)
+        assert _fmt_int(3 * 10**5000 + 42) == "300000...000042 (5001 digits)"
+
+    def test_digit_count_is_exact_at_powers_of_ten(self):
+        for d in range(21, 400):
+            assert _fmt_int(10**d - 1).endswith(f"...999999 ({d} digits)"), d
+            assert _fmt_int(10**d).endswith(f"...000000 ({d + 1} digits)"), d
+
+    def test_messages_stay_bounded(self):
+        big = 10**3000
+        with pytest.raises(GrassError) as exc:
+            GrassCtx(big, 5)
+        assert str(exc.value) == "need 1 <= k < n, got k=100000...000000 (3001 digits) n=5"
+        with pytest.raises(OutOfRange) as exc:
+            make_index((1, big), GrassCtx(2, 5))
+        assert str(exc.value) == "entry 100000...000000 (3001 digits) at position 2 is outside [1, 5]"
+        with pytest.raises(ContextMismatch) as exc:
+            idx((1, 2, 3, 4)) <= make_index((1,), GrassCtx(1, big))
+        assert str(exc.value) == "cannot compare G(4,9) with G(1,100000...000000 (3001 digits))"
 
 
 class TestMakeIndex:

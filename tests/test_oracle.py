@@ -1,3 +1,4 @@
+import json
 import re
 import time
 from itertools import accumulate
@@ -25,7 +26,7 @@ from richgit import (
     verify,
 )
 import richgit.oracle
-from richgit.cli import to_json
+from richgit.cli import main, to_json
 from richgit.oracle import (
     MAX_PAIRS,
     MAX_SWEEP_CELLS,
@@ -141,6 +142,90 @@ class TestHookOracle:
             GrassCtx(k, n) for n in range(2, 10) for k in range(1, n)
         ]:
             assert oracle_sweep(ctx) == ()
+
+
+def fake_oracle(monkeypatch, replacement=None):
+    """Make the tuple oracle lose (3,4,5,9) from w = (3,5,7,9), or swap in replacement."""
+    real = richgit.oracle._hook_oracle_entries
+
+    def oracle(e):
+        out = real(e)
+        if e == (3, 5, 7, 9):
+            out.discard((3, 4, 5, 9))
+            if replacement:
+                out.add(replacement)
+        return out
+
+    monkeypatch.setattr(richgit.oracle, "_hook_oracle_entries", oracle)
+
+
+FORMULA = [[2, 3, 7, 9], [3, 4, 5, 9], [3, 5, 6, 7]]
+DROPPED = [[2, 3, 7, 9], [3, 5, 6, 7]]
+
+
+class TestOracleSweep:
+    @pytest.mark.parametrize(
+        "replacement, oracle",
+        [(None, DROPPED), ((3, 4, 5, 8), [[2, 3, 7, 9], [3, 4, 5, 8], [3, 5, 6, 7]])],
+        ids=["dropped", "swapped"],
+    )
+    def test_one_mismatch_is_reported_with_validated_indices(
+        self, monkeypatch, replacement, oracle
+    ):
+        fake_oracle(monkeypatch, replacement)
+        validations = []
+        validate = GrassIndex.__post_init__
+
+        def counting(self):
+            validations.append(list(self.entries))
+            validate(self)
+
+        monkeypatch.setattr(GrassIndex, "__post_init__", counting)
+        (m,) = oracle_sweep(G49)
+        # only the mismatch's own indices are built, all through validation
+        assert sorted(validations) == sorted([[3, 5, 7, 9]] + FORMULA + oracle)
+        assert m.w == idx((3, 5, 7, 9))
+        assert m.formula == tuple(idx(c) for c in FORMULA)
+        assert m.oracle == tuple(idx(c) for c in oracle)
+        assert all(type(x) is GrassIndex and x.ctx == G49 for x in (m.w, *m.formula, *m.oracle))
+        assert m.to_dict() == {"w": [3, 5, 7, 9], "formula": FORMULA, "oracle": oracle}
+
+    def test_mismatch_reaches_census_verify_and_the_cli(self, monkeypatch, capsys):
+        fake_oracle(monkeypatch)
+        expected = {"w": [3, 5, 7, 9], "formula": FORMULA, "oracle": DROPPED}
+        rep = census(G49)
+        assert [m.to_dict() for m in rep.oracle_mismatches] == [expected]
+        assert rep.mismatches == ()
+        report = verify([G49])
+        assert report.passed is False
+        assert report.oracle_mismatch_total == 1
+        assert main(["verify", "--ctx", "4,9"]) == 1
+        out = capsys.readouterr().out
+        assert "G(4,9): pairs=196 smooth=169 singular=27 [0 pattern / 1 oracle mismatch(es)]\n" in out
+        assert out.endswith("passed: false\n")
+        assert main(["verify", "--ctx", "4,9", "--format", "json"]) == 1
+        data = json.loads(capsys.readouterr().out)
+        assert data["contexts"][0]["oracle_mismatches"] == [expected]
+        assert data["oracle_mismatch_total"] == 1
+
+    def test_tuple_oracle_runs_once_per_index(self, monkeypatch):
+        real = richgit.oracle._hook_oracle_entries
+        calls = []
+
+        def counting(e):
+            calls.append(e)
+            return real(e)
+
+        monkeypatch.setattr(richgit.oracle, "_hook_oracle_entries", counting)
+        for n in range(2, 13):
+            for k in range(1, n):
+                calls.clear()
+                assert oracle_sweep(GrassCtx(k, n)) == ()
+                assert len(calls) == len(set(calls)) == comb(n, k), (k, n)
+                assert all(len(e) == k and e[-1] <= n for e in calls)
+        calls.clear()
+        assert verify().oracle_mismatch_total == 0
+        assert len(calls) == sum(comb(c.n, c.k) for c in default_contexts())
 
 
 class TestCensus:
