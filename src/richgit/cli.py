@@ -32,19 +32,33 @@ def to_json(data) -> str:
     return json.dumps(data, sort_keys=True, indent=2) + "\n"
 
 
+def _fmt_arg(text: str) -> str:
+    """repr(text) up to 20 characters; past that its first and last six and length."""
+    if len(text) <= 20:
+        return repr(text)
+    return f"{text[:6]!r}...{text[-6:]!r} ({len(text)} characters)"
+
+
+def _parse_int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {_fmt_arg(text)}") from None
+
+
 def _parse_tuple(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"expected comma-separated integers, got {text!r}"
+            f"expected comma-separated integers, got {_fmt_arg(text)}"
         ) from None
 
 
 def _parse_ctx(text: str) -> GrassCtx:
     values = _parse_tuple(text)
     if len(values) != 2:
-        raise argparse.ArgumentTypeError(f"expected K,N, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected K,N, got {_fmt_arg(text)}")
     try:
         return GrassCtx(*values)
     except GrassError as exc:
@@ -62,8 +76,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p: argparse.ArgumentParser, formats: Sequence[str]) -> None:
-        p.add_argument("-k", type=int, required=True, help="subspace dimension")
-        p.add_argument("-n", type=int, required=True, help="ambient dimension")
+        p.add_argument("-k", type=_parse_int, required=True, help="subspace dimension")
+        p.add_argument("-n", type=_parse_int, required=True, help="ambient dimension")
         p.add_argument(
             "--format", choices=list(formats), default="text", help="output format"
         )

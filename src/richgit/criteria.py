@@ -30,10 +30,12 @@ from .core import (
     RichardsonId,
     _fmt_ctx,
     _fmt_int,
+    _richardson,
     make_index,
     richardson_dim,
 )
-from .singular import CACHE_SIZE, SCHUBERT_SIDE, richardson_singular_components
+from .singular import CACHE_SIZE, OPPOSITE_SIDE, SCHUBERT_SIDE
+from .singular import opposite_singular_components, schubert_singular_components
 
 EMPTY_QUOTIENT = "EMPTY_QUOTIENT"
 SMOOTH = "SMOOTH"
@@ -178,6 +180,7 @@ def analyze(
     tuples, EmptyRichardson when v is not below w, and ContextMismatch when
     a prebuilt GrassIndex belongs to another context.  Those are the only
     checks: every value derived from the pair afterwards is trusted.
+    components equals richardson_singular_components(pair), built in one pass.
     """
     mp = minimal_pair(ctx)
     vi = v if isinstance(v, GrassIndex) else make_index(v, ctx)
@@ -195,18 +198,21 @@ def analyze(
     v_ok = all(map(le, vi.entries, v_min))
     w_ok = all(map(le, w_min, wi.entries))
     ss = v_ok and w_ok
-    components = tuple(
-        [
-            _component_report(
-                comp.pair,
-                comp.source,
-                (v_ok and all(map(le, w_min, comp.pair.w.entries)))
-                if comp.source == SCHUBERT_SIDE
-                else (w_ok and all(map(le, comp.pair.v.entries, v_min))),
-            )
-            for comp in richardson_singular_components(rid)
-        ]
-    )
+    schubert = [
+        _component_report(
+            _richardson(vi, w2), SCHUBERT_SIDE, v_ok and all(map(le, w_min, w2.entries))
+        )
+        for w2 in schubert_singular_components(wi)
+        if all(map(le, vi.entries, w2.entries))
+    ]
+    opposite = [
+        _component_report(
+            _richardson(v2, wi), OPPOSITE_SIDE, w_ok and all(map(le, v2.entries, v_min))
+        )
+        for v2 in opposite_singular_components(vi)
+        if all(map(le, v2.entries, wi.entries))
+    ]
+    components = tuple(schubert + opposite)
     if not ss:
         by_components: bool | None = None
         by_pattern: bool | None = None

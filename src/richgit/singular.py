@@ -17,7 +17,8 @@ complement each result back.
 Richardson: the singular locus of X^v_w is the union of the Schubert-side
 components intersected with X^v and the opposite-side components
 intersected with X(w); empty intersections are dropped via the v <= w
-nonemptiness test.
+nonemptiness test.  richardson_singular_components is the public listing
+and the reference for criteria.analyze, which walks the cached sides once.
 """
 
 from __future__ import annotations

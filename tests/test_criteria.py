@@ -172,14 +172,24 @@ class TestAnalyze:
         ]
 
     def test_golden_digest(self):
+        # every pair with n <= 9: the report's bytes, and its components
+        # against the public listing and the full per-component test
         digest = hashlib.sha256()
         pairs = 0
         for ctx in coprime_ctxs(9):
+            mp = minimal_pair(ctx)
             elems = enumerate_indices(ctx)
             for v in elems:
                 for w in elems:
                     if v <= w:
-                        doc = json.dumps(analyze(v, w, ctx).to_dict(), sort_keys=True)
+                        rep = analyze(v, w, ctx)
+                        ref = richardson_singular_components(RichardsonId(v, w))
+                        got = [(c.pair, c.source) for c in rep.components]
+                        assert got == [(c.pair, c.source) for c in ref]
+                        assert [c.has_semistable for c in rep.components] == [
+                            has_semistable(c.pair, mp) for c in ref
+                        ]
+                        doc = json.dumps(rep.to_dict(), sort_keys=True)
                         digest.update(doc.encode())
                         pairs += 1
         assert pairs == 15813
