@@ -35,7 +35,7 @@ from .core import (
     richardson_dim,
 )
 from .singular import CACHE_SIZE, OPPOSITE_SIDE, SCHUBERT_SIDE
-from .singular import opposite_singular_components, schubert_singular_components
+from .singular import _opposite_records, _schubert_records
 
 EMPTY_QUOTIENT = "EMPTY_QUOTIENT"
 SMOOTH = "SMOOTH"
@@ -180,7 +180,32 @@ def analyze(
     tuples, EmptyRichardson when v is not below w, and ContextMismatch when
     a prebuilt GrassIndex belongs to another context.  Those are the only
     checks: every value derived from the pair afterwards is trusted.
-    components equals richardson_singular_components(pair), built in one pass.
+    components equals richardson_singular_components(pair), built in one
+    pass over the cached side records, and each component's flag equals
+    has_semistable(component.pair, minimal_pair(ctx)).
+
+    Each side record answers both questions with one integer comparison.
+    Entries are 0-based, and u_i - i is the offset of entry i of u.  Every
+    index (v, w, v_min and w_min = a among them) is strictly increasing, so
+    its offsets are nondecreasing.
+
+    Schubert side, record (w', j, x = w_{j-1}) of a valley (j, s): w' equals
+    w outside rows s..j and runs w_s - 1, ..., w_{j-1} on them, so its
+    offsets there all equal x - j.  As v <= w, v <= w' holds iff
+    v_i - i <= x - j for i in s..j, i.e. (offsets nondecreasing) iff
+    v_j <= x.  Likewise, given w >= w_min, w' >= w_min iff a_j <= x; and
+    w' >= w_min implies w >= w_min, as w' <= w.  So the flag
+    (v <= v_min and w' >= w_min) is ss and x >= a_j.
+
+    Opposite side, record (v', J, y = v_{J+1}): v' equals v outside rows
+    J..t and runs v_{J+1}, ..., v_t + 1 on them, with offsets all equal
+    to y - J.  As v <= w, v' <= w holds iff y - J <= w_i - i for i in
+    J..t, i.e. iff y <= w_J.  Likewise, given v <= v_min, v' <= v_min iff
+    y <= v_min[J]; and v' <= v_min implies v <= v_min, as v <= v'.  So the
+    flag (v' <= v_min and w >= w_min) is ss and v_min[J] >= y.
+
+    ss is the pair's own semistability, so no component is flagged on an
+    EMPTY_QUOTIENT pair.
     """
     mp = minimal_pair(ctx)
     vi = v if isinstance(v, GrassIndex) else make_index(v, ctx)
@@ -191,26 +216,17 @@ def analyze(
             f"pair is from {_fmt_ctx(rid.ctx)}, minimal pair from {_fmt_ctx(mp.ctx)}"
         )
 
-    # Semistability factors by side: (v, w) admits semistable points iff
-    # v <= v_min and w >= w_min.  A Schubert-side component (v, w') keeps
-    # v, so only w' is compared; an opposite-side one (v', w) keeps w.
-    v_min, w_min = mp.v_min.entries, mp.w_min.entries
-    v_ok = all(map(le, vi.entries, v_min))
-    w_ok = all(map(le, w_min, wi.entries))
-    ss = v_ok and w_ok
+    ve, we, v_min, a = vi.entries, wi.entries, mp.v_min.entries, mp.a
+    ss = all(map(le, ve, v_min)) and all(map(le, a, we))
     schubert = [
-        _component_report(
-            _richardson(vi, w2), SCHUBERT_SIDE, v_ok and all(map(le, w_min, w2.entries))
-        )
-        for w2 in schubert_singular_components(wi)
-        if all(map(le, vi.entries, w2.entries))
+        _component_report(_richardson(vi, w2), SCHUBERT_SIDE, ss and x >= a[j])
+        for w2, j, x in _schubert_records(wi)
+        if ve[j] <= x
     ]
     opposite = [
-        _component_report(
-            _richardson(v2, wi), OPPOSITE_SIDE, w_ok and all(map(le, v2.entries, v_min))
-        )
-        for v2 in opposite_singular_components(vi)
-        if all(map(le, v2.entries, wi.entries))
+        _component_report(_richardson(v2, wi), OPPOSITE_SIDE, ss and v_min[J] >= y)
+        for v2, J, y in _opposite_records(vi)
+        if we[J] >= y
     ]
     components = tuple(schubert + opposite)
     if not ss:

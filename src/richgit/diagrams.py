@@ -5,19 +5,18 @@ An index w in I(k,n) corresponds to the weakly increasing part sequence
 Young diagram holds parts[i] left-justified boxes.  That single internal
 convention is used everywhere; rendering flips rows only at output time.
 Valleys and hook removal are read off the entries of the index directly
-(_valleys, _remove_hook), so the singular-locus code needs no partition;
-singular.schubert_singular_components is their public form.
+by the valley walks of the singular module, so the singular-locus code
+needs no partition.
 
 Opposite diagrams (the right-anchored complements of ordinary diagrams)
-are never manipulated directly: every opposite-side computation routes
-through the complement (complement_index, or _complement on entries) and
-the ordinary machinery.
+are never built: complement_index maps them to ordinary ones, and the
+singular module's opposite-side walk applies the complemented hook rule
+to the entries of v directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 from .core import GrassCtx, GrassError, GrassIndex, RichardsonId, _fmt_ctx, _fmt_int, _index
 
@@ -78,47 +77,11 @@ def complement_index(v: GrassIndex) -> GrassIndex:
     It reverses the Bruhat order and flips the Young diagram: the diagram
     of v' is the 180-degree rotation of the complement of the diagram of v
     inside the rectangle.  The opposite Schubert variety X^v is isomorphic
-    to the Schubert variety X(v'), which is how everything opposite-side
-    is computed here.
+    to the Schubert variety X(v'); the singular module's opposite-side
+    walk applies that to the entries of v without building v'.
     """
-    return _index(_complement(v.entries, v.ctx.n), v.ctx)
-
-
-def _complement(e: tuple[int, ...], n: int) -> tuple[int, ...]:
-    """Entries of complement_index: e'_i = n + 1 - e_{k+1-i}."""
-    m = n + 1
-    return tuple([m - x for x in reversed(e)])
-
-
-def _valleys(w: tuple[int, ...]) -> Iterator[tuple[int, int]]:
-    """Valleys of the diagram of the index with entries w, bottom first.
-
-    A valley is a box with boxes to its south and east but none to its
-    southeast.  Yields 0-based (j, s) for each row j holding one.  Equal
-    rows of the diagram are runs of consecutive entries, so row j is
-    longer than row j-1 exactly when w_j > w_{j-1} + 1, and row j-1 holds
-    a box exactly when w_{j-1} > j.  Rows s..j-1 form the run just below
-    row j.
-    """
-    s = 0
-    for j in range(1, len(w)):
-        if w[j] > w[j - 1] + 1:
-            if w[j - 1] > j:
-                yield j, s
-            s = j
-
-
-def _remove_hook(w: tuple[int, ...], j: int, s: int) -> tuple[int, ...]:
-    """Entries after removing the hook through the valley (j, s) of _valleys.
-
-    Rows s..j-1 drop by one box and row j drops to their new length, so
-    entries s..j become the consecutive run w_s - 1, ..., w_{j-1}: the
-    entry w_j leaves and w_s - 1 enters.
-    """
-    out = list(w)
-    del out[j]
-    out.insert(s, w[s] - 1)
-    return tuple(out)
+    m = v.ctx.n + 1
+    return _index(tuple([m - x for x in reversed(v.entries)]), v.ctx)
 
 
 def render_skew(rid: RichardsonId) -> str:

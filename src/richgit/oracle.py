@@ -5,7 +5,7 @@ of the diagram, held as one int bitmask per row: valleys and hooks are
 bit operations on neighbouring rows, and entries are recounted from the
 cells left.  It shares none of the hook-removal code, so the two routes
 check each other.  oracle_sweep runs both on entry tuples
-(singular._schubert_components and _hook_oracle_entries) over all of
+(singular._schubert_walk and _hook_oracle_entries) over all of
 I(k,n), and builds indices only to report a disagreement.
 
 admissible_reports analyzes every pair (v, w) with v <= v_min and
@@ -38,7 +38,7 @@ from .criteria import (
     analyze,
     minimal_pair,
 )
-from .singular import _schubert_components
+from .singular import _schubert_walk
 
 ERRATUM_NOTES: tuple[str, ...] = (
     "Known typo in the literature: the worked singular locus of X((3,5,7,9)) "
@@ -118,7 +118,7 @@ def oracle_sweep(ctx: GrassCtx) -> tuple[OracleMismatch, ...]:
     """
     out = []
     for e in combinations(range(1, ctx.n + 1), ctx.k):
-        formula = set(_schubert_components(e))
+        formula = {c for c, _, _ in _schubert_walk(e)}
         oracle = _hook_oracle_entries(e)
         if formula != oracle:
             out.append(

@@ -5,20 +5,36 @@ removing the hook through that valley.  In terms of the part sequence
 (p_1^{q_1}, ..., p_r^{q_r}) of X(w) this is the classical run-length
 substitution: the r - 1 components replace the adjacent runs
 p_i^{q_i}, p_{i+1}^{q_{i+1}} with (p_i - 1)^{q_i + 1}, p_{i+1}^{q_{i+1} - 1}.
-It is computed on the entries of w by _schubert_components (over
-diagrams._valleys and diagrams._remove_hook): the entry of the valley row
-leaves and one less than the first entry of the run below it enters.
+It is computed on the entries of w (0-based) by one valley walk,
+_schubert_walk.  Equal rows of the diagram are runs of consecutive
+entries, so row j is a valley row exactly when w_j > w_{j-1} + 1 (row j
+is longer than row j-1) and w_{j-1} > j (row j-1 holds a box).  With
+rows s..j-1 the run just below, removing the hook makes entries s..j the
+consecutive run w_s - 1, ..., w_{j-1}: w_j leaves and w_s - 1 enters.
+The walk records each component w' as (w', j, w_{j-1}).
 
-Opposite side: X^v is isomorphic to X(v') for the complemented index, so
-its components are the complements of the Schubert-side components of v'.
-That is computed on entries: complement v, run _schubert_components,
-complement each result back.
+Opposite side: X^v is isomorphic to X(v^c) for the complemented index
+v^c, so its components are the complements of the Schubert-side
+components of v^c.  _opposite_walk applies that rule mirrored on the
+entries of v, with no complement: scanning J from k-2 down to 0, a gap
+v_{J+1} > v_J + 1 with v_{J+1} <= n + 1 - k + J is a valley of v^c, and
+with rows J+1..t the run just above, the component v' makes entries
+J..t the consecutive run v_{J+1}, ..., v_t + 1: v_J leaves and v_t + 1
+enters.  The walk records it as (v', J, v_{J+1}), in the order of the
+valleys of v^c.  The complement route is its test reference.
+
+The valley row and the one entry recorded let criteria.analyze test and
+flag each component with two integer comparisons (see its docstring).
+The records are lru-cached per index in _schubert_records and
+_opposite_records; schubert_singular_components and
+opposite_singular_components return their components.
 
 Richardson: the singular locus of X^v_w is the union of the Schubert-side
 components intersected with X^v and the opposite-side components
 intersected with X(w); empty intersections are dropped via the v <= w
 nonemptiness test.  richardson_singular_components is the public listing
-and the reference for criteria.analyze, which walks the cached sides once.
+and the direct-comparison reference for criteria.analyze, which walks the
+cached records once.
 """
 
 from __future__ import annotations
@@ -28,17 +44,16 @@ from functools import lru_cache
 from operator import le
 
 from .core import GrassIndex, RichardsonId, _index, _richardson
-from .diagrams import _complement, _remove_hook, _valleys
 
 SCHUBERT_SIDE = "SCHUBERT_SIDE"
 OPPOSITE_SIDE = "OPPOSITE_SIDE"
 
-# Entries kept by each lru cache of the library (here and minimal_pair).
-# A default verify fills 431 entries of each, one per index of the
-# rectangle's sides (the oracle sweep runs on entry tuples, uncached),
-# and 6,000 random analyze calls in G(7,16)..G(11,24) about 3,750 of
-# each, so neither evicts; larger sweeps evict instead of growing
-# without bound.
+# Entries kept by each lru cache of the library: the two side records
+# here and minimal_pair.  A default verify fills 431 entries of each side,
+# one per index of the rectangle's sides (the oracle sweep runs on entry
+# tuples, uncached), and 6,000 random analyze calls in G(7,16)..G(11,24)
+# about 3,750 of each, so neither evicts; larger sweeps evict instead of
+# growing without bound.
 CACHE_SIZE = 2**16
 
 
@@ -59,37 +74,72 @@ def _component(pair: RichardsonId, source: str) -> SingularComponent:
     return comp
 
 
-def _schubert_components(e: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Entries of the singular-locus components of X(w), w with entries e.
+def _schubert_walk(e: tuple[int, ...]) -> list[tuple[tuple[int, ...], int, int]]:
+    """Records (w', j, w_{j-1}) of the Schubert-side components, bottom first.
 
-    One component per valley, bottom row first, each in the I(k,n) of e.
-    The only place hook removal makes components; the public functions
-    below wrap it.
+    e holds the entries of w; each w' is in the I(k,n) of e.  The only
+    place hook removal makes Schubert-side components.
     """
-    return [_remove_hook(e, j, s) for j, s in _valleys(e)]
+    out = []
+    s = 0
+    for j in range(1, len(e)):
+        x = e[j - 1]
+        if e[j] > x + 1:
+            if x > j:
+                out.append((e[:s] + (e[s] - 1,) + e[s:j] + e[j + 1 :], j, x))
+            s = j
+    return out
+
+
+def _opposite_walk(e: tuple[int, ...], n: int) -> list[tuple[tuple[int, ...], int, int]]:
+    """Records (v', J, v_{J+1}) of the opposite-side components of v in I(k,n).
+
+    e holds the entries of v; the mirrored rule of the module docstring,
+    top gap first.  The only place opposite-side components are made.
+    """
+    out = []
+    k = len(e)
+    t = k - 1
+    top = n + 1 - k
+    for J in range(k - 2, -1, -1):
+        y = e[J + 1]
+        if y > e[J] + 1:
+            if y <= top + J:
+                out.append((e[:J] + e[J + 1 : t + 1] + (e[t] + 1,) + e[t + 1 :], J, y))
+            t = J
+    return out
 
 
 @lru_cache(maxsize=CACHE_SIZE)
+def _schubert_records(w: GrassIndex) -> tuple[tuple[GrassIndex, int, int], ...]:
+    """_schubert_walk of w, each component as a GrassIndex."""
+    ctx = w.ctx
+    return tuple([(_index(c, ctx), j, x) for c, j, x in _schubert_walk(w.entries)])
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _opposite_records(v: GrassIndex) -> tuple[tuple[GrassIndex, int, int], ...]:
+    """_opposite_walk of v, each component as a GrassIndex."""
+    ctx = v.ctx
+    return tuple([(_index(c, ctx), J, y) for c, J, y in _opposite_walk(v.entries, ctx.n)])
+
+
 def schubert_singular_components(w: GrassIndex) -> tuple[GrassIndex, ...]:
     """Indices of the r - 1 singular-locus components of X(w).
 
     Empty when the part sequence has at most one nonzero run (X(w) smooth).
     Components are ordered by the valley they remove, bottom row first.
     """
-    ctx = w.ctx
-    return tuple([_index(c, ctx) for c in _schubert_components(w.entries)])
+    return tuple([r[0] for r in _schubert_records(w)])
 
 
-@lru_cache(maxsize=CACHE_SIZE)
 def opposite_singular_components(v: GrassIndex) -> tuple[GrassIndex, ...]:
     """Indices v' of the singular-locus components X^{v'} of X^v.
 
     The complements of the Schubert-side components of the complement of v,
     in the same order.
     """
-    n, ctx = v.ctx.n, v.ctx
-    components = _schubert_components(_complement(v.entries, n))
-    return tuple([_index(_complement(c, n), ctx) for c in components])
+    return tuple([r[0] for r in _opposite_records(v)])
 
 
 def richardson_singular_components(

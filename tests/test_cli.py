@@ -523,8 +523,9 @@ def test_tracer_output_matches_untraced(capsys, tmp_path):
     # (test_oracle.py::TestOracleSweep counts its calls of the tuple oracle)
     assert counts["oracle.hook_oracle_components"] == 0
     assert counts["core.bruhat_cmp"] > 0
-    # analyze walks the two cached sides itself: one call of each side per
-    # analyze, and none of the public Richardson listing
+    # analyze reads the private side records, which the tracer does not
+    # wrap: no public singular function runs under an analyze span, and
+    # the public Richardson listing is never called
     with open(tmp_path / "trace.bin", "rb") as fh:
         names, parents = array("i"), array("i")
         names.fromfile(fh, meta["spans"])
@@ -540,6 +541,5 @@ def test_tracer_output_matches_untraced(capsys, tmp_path):
             children[p].append(label[n])
     assert analyzes
     for kids in children.values():
-        assert kids.count("singular.schubert_singular_components") == 1
-        assert kids.count("singular.opposite_singular_components") == 1
+        assert not [k for k in kids if k.startswith("singular.")], kids
     assert "singular.richardson_singular_components" not in {label[n] for n in names}

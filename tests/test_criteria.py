@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 from math import gcd
 
 import pytest
@@ -19,7 +20,9 @@ from richgit import (
     has_semistable,
     make_index,
     minimal_pair,
+    opposite_singular_components,
     richardson_singular_components,
+    schubert_singular_components,
 )
 
 G49 = GrassCtx(4, 9)
@@ -194,6 +197,43 @@ class TestAnalyze:
                         pairs += 1
         assert pairs == 15813
         assert digest.hexdigest() == ANALYZE_DIGEST_N9
+
+    @pytest.mark.parametrize("k, n", [(7, 16), (9, 20), (11, 24)])
+    @pytest.mark.parametrize("group", ["inside", "v_only", "w_only", "neither"])
+    def test_two_comparison_lemma_at_large_k(self, k, n, group):
+        # test_golden_digest reaches only k <= 8: seeded pairs at large k, by
+        # which of v <= v_min and w >= w_min hold, each checked against the
+        # public listing and the full per-component test
+        ctx = GrassCtx(k, n)
+        mp = minimal_pair(ctx)
+        v_min, w_min = mp.v_min.entries, mp.w_min.entries
+        want_v, want_w = group in ("inside", "v_only"), group in ("inside", "w_only")
+        rng = random.Random(f"{k},{n},{group}")
+        flags = []
+        pairs = dropped = 0
+        while pairs < 60:
+            a, b = (tuple(sorted(rng.sample(range(1, n + 1), k))) for _ in range(2))
+            v = tuple(map(min, a, v_min)) if want_v else tuple(map(min, a, b))
+            w = tuple(map(max, b, w_min)) if want_w else tuple(map(max, a, b))
+            vi, wi = make_index(v, ctx), make_index(w, ctx)
+            if (vi <= mp.v_min, wi >= mp.w_min) != (want_v, want_w) or not vi <= wi:
+                continue
+            rep = analyze(vi, wi, ctx)
+            ref = richardson_singular_components(RichardsonId(vi, wi))
+            assert [(c.pair, c.source) for c in rep.components] == [
+                (c.pair, c.source) for c in ref
+            ]
+            got = [c.has_semistable for c in rep.components]
+            assert got == [has_semistable(c.pair, mp) for c in ref]
+            flags += got
+            pairs += 1
+            candidates = schubert_singular_components(wi) + opposite_singular_components(vi)
+            dropped += len(candidates) - len(ref)
+        # components are kept and flagged; on the rectangle none is dropped
+        # (w_{j-1} >= a_{j-1} = v_min_j >= v_j), off it the filters drop some
+        assert len(flags) > pairs
+        assert any(flags) == (group == "inside")
+        assert (dropped > 0) == (group != "inside")
 
     def test_reference_verdicts(self):
         assert analyze((1, 3, 5, 7), (3, 5, 7, 9), G49).verdict == SMOOTH

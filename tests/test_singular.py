@@ -1,4 +1,6 @@
-from itertools import groupby
+import importlib
+import pkgutil
+from itertools import combinations, groupby
 
 import pytest
 
@@ -17,6 +19,9 @@ from richgit import (
     schubert_singular_components,
     to_partition,
 )
+from richgit.core import _index
+from richgit.oracle import _hook_oracle_entries
+from richgit.singular import _opposite_walk, _schubert_walk
 
 G49 = GrassCtx(4, 9)
 
@@ -122,6 +127,25 @@ class TestOppositeComponents:
                 )
                 assert opposite_singular_components(v) == slow, v
 
+    def test_mirrored_walk_on_entries(self):
+        # the complement-free opposite walk on every index with n <= 14:
+        # against its definition (complement, Schubert walk, complement
+        # back), order included, and as a set against the cell oracle on
+        # the complement; each record holds v'_J = v_{J+1}
+        for ctx in all_small_ctxs(14):
+            n = ctx.n
+
+            def complement(e):
+                return complement_index(_index(e, ctx)).entries
+
+            for e in combinations(range(1, n + 1), ctx.k):
+                records = _opposite_walk(e, n)
+                got = [c for c, _, _ in records]
+                ec = complement(e)
+                assert got == [complement(c) for c, _, _ in _schubert_walk(ec)], e
+                assert set(got) == {complement(c) for c in _hook_oracle_entries(ec)}, e
+                assert all(c[J] == y == e[J + 1] for c, J, y in records), e
+
     def test_box_counts_grow_by_hook_size(self):
         # dual route without re-deriving the complement construction: each
         # component's dimension exceeds the input's by the size of the hook
@@ -208,10 +232,32 @@ class TestRichardsonComponents:
                             assert v <= c.pair.v and c.pair.v != v
 
 
-@pytest.mark.parametrize(
-    "cached",
-    [schubert_singular_components, opposite_singular_components, minimal_pair],
-)
-def test_caches_are_bounded(cached):
-    maxsize = cached.cache_info().maxsize
+# Every lru_cache of richgit, by the public function it serves.  The side
+# caches hold the valley records behind the two public side functions.
+CACHE_BEHIND = {
+    "minimal_pair": "richgit.criteria.minimal_pair",
+    "opposite_singular_components": "richgit.singular._opposite_records",
+    "schubert_singular_components": "richgit.singular._schubert_records",
+}
+
+
+def lru_caches():
+    """Every lru_cache-wrapped function defined in a richgit module, by qualified name."""
+    import richgit
+
+    found = {}
+    for info in pkgutil.iter_modules(richgit.__path__, "richgit."):
+        module = importlib.import_module(info.name)
+        for fn in vars(module).values():
+            if hasattr(fn, "cache_info") and fn.__module__ == module.__name__:
+                found[f"{fn.__module__}.{fn.__name__}"] = fn
+    return found
+
+
+@pytest.mark.parametrize("public", sorted(CACHE_BEHIND))
+def test_caches_are_bounded(public):
+    caches = lru_caches()
+    # every cache found is listed here, so each one is checked by some case
+    assert set(caches) == set(CACHE_BEHIND.values())
+    maxsize = caches[CACHE_BEHIND[public]].cache_info().maxsize
     assert maxsize is not None and 0 < maxsize <= 2**16
