@@ -61,7 +61,7 @@ def _fmt_ctx(ctx: "GrassCtx") -> str:
     return f"G({_fmt_int(ctx.k)},{_fmt_int(ctx.n)})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GrassCtx:
     """The ambient pair (k, n) with 1 <= k < n."""
 
@@ -88,7 +88,7 @@ def fmt_tuple(entries: Sequence[int]) -> str:
     return "(" + ",".join(str(e) for e in entries) + ")"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GrassIndex:
     """A strictly increasing k-tuple in [1, n], tagged with its context.
 
@@ -152,21 +152,29 @@ class GrassIndex:
     def __ge__(self, other: "GrassIndex") -> bool:
         return other.__le__(self)
 
+    def __hash__(self) -> int:
+        # Equal indices have equal entries, so these alone make a valid hash;
+        # leaving ctx out saves a call of its Python-level __hash__ on every
+        # lru lookup keyed by an index.
+        return hash(self.entries)
+
     def __str__(self) -> str:
         return fmt_tuple(self.entries)
 
 
-def _index(entries: tuple[int, ...], ctx: GrassCtx) -> GrassIndex:
-    """GrassIndex without validation, for entries derived from valid ones.
+# Every record class of the library is a frozen, slotted dataclass.  Its
+# trusted constructors (_index here, and one per module for the records it
+# derives) set the fields through the class's slot descriptors: no
+# __post_init__ check, and no frozen __setattr__ in the way.
+_set_entries = GrassIndex.entries.__set__
+_set_index_ctx = GrassIndex.ctx.__set__
 
-    Like every trusted record constructor of the library, it fills the
-    instance's __dict__ directly: no __post_init__ check, and none of the
-    per-field object.__setattr__ calls of a frozen dataclass's __init__.
-    """
+
+def _index(entries: tuple[int, ...], ctx: GrassCtx) -> GrassIndex:
+    """GrassIndex without validation, for entries derived from valid ones."""
     idx = object.__new__(GrassIndex)
-    fields = idx.__dict__
-    fields["entries"] = entries
-    fields["ctx"] = ctx
+    _set_entries(idx, entries)
+    _set_index_ctx(idx, ctx)
     return idx
 
 
@@ -191,7 +199,7 @@ def length(w: GrassIndex) -> int:
     return sum(w.entries) - k * (k + 1) // 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RichardsonId:
     """An ordered pair (v, w) with v <= w, naming the nonempty X^v_w."""
 
@@ -216,12 +224,15 @@ class RichardsonId:
         return f"X^{self.v}_{self.w}"
 
 
+_set_v = RichardsonId.v.__set__
+_set_w = RichardsonId.w.__set__
+
+
 def _richardson(v: GrassIndex, w: GrassIndex) -> RichardsonId:
     """RichardsonId without validation, for a pair already known to have v <= w."""
     rid = object.__new__(RichardsonId)
-    fields = rid.__dict__
-    fields["v"] = v
-    fields["w"] = w
+    _set_v(rid, v)
+    _set_w(rid, w)
     return rid
 
 

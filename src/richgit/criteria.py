@@ -46,7 +46,7 @@ class NotCoprime(GrassError):
     """Operation requires gcd(k, n) = 1."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MinimalPair:
     """The minimal semistable-admitting pair of a coprime context.
 
@@ -59,11 +59,16 @@ class MinimalPair:
     a: tuple[int, ...]
 
 
+def _require_coprime(ctx: GrassCtx) -> None:
+    """Raise NotCoprime unless gcd(k, n) = 1, before any work that grows with k."""
+    if not ctx.coprime():
+        raise NotCoprime(f"k={_fmt_int(ctx.k)} and n={_fmt_int(ctx.n)} are not coprime")
+
+
 @lru_cache(maxsize=CACHE_SIZE)
 def minimal_pair(ctx: GrassCtx) -> MinimalPair:
     """Compute (w_min, v_min) for a coprime context; raises NotCoprime otherwise."""
-    if not ctx.coprime():
-        raise NotCoprime(f"k={_fmt_int(ctx.k)} and n={_fmt_int(ctx.n)} are not coprime")
+    _require_coprime(ctx)
     k, n = ctx.k, ctx.n
     a = tuple((i * n + k - 1) // k for i in range(1, k + 1))
     w_min = make_index(a, ctx)
@@ -99,7 +104,7 @@ def _smooth_by_pattern(rid: RichardsonId, mp: MinimalPair) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ComponentReport:
     """A singular-locus component together with its semistability flag."""
 
@@ -116,17 +121,21 @@ class ComponentReport:
         }
 
 
+_set_comp_pair = ComponentReport.pair.__set__
+_set_comp_source = ComponentReport.source.__set__
+_set_comp_ss = ComponentReport.has_semistable.__set__
+
+
 def _component_report(pair: RichardsonId, source: str, ss: bool) -> ComponentReport:
     """ComponentReport built as a trusted record (see core._index)."""
     rep = object.__new__(ComponentReport)
-    fields = rep.__dict__
-    fields["pair"] = pair
-    fields["source"] = source
-    fields["has_semistable"] = ss
+    _set_comp_pair(rep, pair)
+    _set_comp_source(rep, source)
+    _set_comp_ss(rep, ss)
     return rep
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AnalysisReport:
     """Full verdict record for one pair (v, w).
 
@@ -169,6 +178,16 @@ class AnalysisReport:
         }
 
 
+_set_pair = AnalysisReport.pair.__set__
+_set_nonempty = AnalysisReport.nonempty.__set__
+_set_has_semistable = AnalysisReport.has_semistable.__set__
+_set_components = AnalysisReport.components.__set__
+_set_by_components = AnalysisReport.smooth_by_components.__set__
+_set_by_pattern = AnalysisReport.smooth_by_pattern.__set__
+_set_verdict = AnalysisReport.verdict.__set__
+_set_dimension = AnalysisReport.dimension.__set__
+
+
 def analyze(
     v: Sequence[int] | GrassIndex,
     w: Sequence[int] | GrassIndex,
@@ -179,7 +198,11 @@ def analyze(
     Raises NotCoprime for gcd(k, n) > 1, the make_index errors for invalid
     tuples, EmptyRichardson when v is not below w, and ContextMismatch when
     a prebuilt GrassIndex belongs to another context.  Those are the only
-    checks: every value derived from the pair afterwards is trusted.
+    checks, made in that order and all before minimal_pair(ctx) builds its
+    k-entry tuples, so a refusal takes time in proportion to the tuples
+    given, not to k; valid tuples of a huge context still cost time in
+    proportion to k.  Every value derived from the pair afterwards is
+    trusted.
     components equals richardson_singular_components(pair), built in one
     pass over the cached side records, and each component's flag equals
     has_semistable(component.pair, minimal_pair(ctx)).
@@ -207,25 +230,28 @@ def analyze(
     ss is the pair's own semistability, so no component is flagged on an
     EMPTY_QUOTIENT pair.
     """
-    mp = minimal_pair(ctx)
+    _require_coprime(ctx)
     vi = v if isinstance(v, GrassIndex) else make_index(v, ctx)
     wi = w if isinstance(w, GrassIndex) else make_index(w, ctx)
     rid = RichardsonId(vi, wi)
     if rid.ctx is not ctx and rid.ctx != ctx:
         raise ContextMismatch(
-            f"pair is from {_fmt_ctx(rid.ctx)}, minimal pair from {_fmt_ctx(mp.ctx)}"
+            f"pair is from {_fmt_ctx(rid.ctx)}, minimal pair from {_fmt_ctx(ctx)}"
         )
+    mp = minimal_pair(ctx)
 
     ve, we, v_min, a = vi.entries, wi.entries, mp.v_min.entries, mp.a
     ss = all(map(le, ve, v_min)) and all(map(le, a, we))
+    comps, rows, xs = _schubert_records(wi)
     schubert = [
         _component_report(_richardson(vi, w2), SCHUBERT_SIDE, ss and x >= a[j])
-        for w2, j, x in _schubert_records(wi)
+        for w2, j, x in zip(comps, rows, xs)
         if ve[j] <= x
     ]
+    comps, rows, ys = _opposite_records(vi)
     opposite = [
         _component_report(_richardson(v2, wi), OPPOSITE_SIDE, ss and v_min[J] >= y)
-        for v2, J, y in _opposite_records(vi)
+        for v2, J, y in zip(comps, rows, ys)
         if we[J] >= y
     ]
     components = tuple(schubert + opposite)
@@ -239,14 +265,12 @@ def analyze(
         verdict = SMOOTH if by_components else SINGULAR
 
     rep = object.__new__(AnalysisReport)
-    rep.__dict__.update(
-        pair=rid,
-        nonempty=True,
-        has_semistable=ss,
-        components=components,
-        smooth_by_components=by_components,
-        smooth_by_pattern=by_pattern,
-        verdict=verdict,
-        dimension=richardson_dim(rid),
-    )
+    _set_pair(rep, rid)
+    _set_nonempty(rep, True)
+    _set_has_semistable(rep, ss)
+    _set_components(rep, components)
+    _set_by_components(rep, by_components)
+    _set_by_pattern(rep, by_pattern)
+    _set_verdict(rep, verdict)
+    _set_dimension(rep, richardson_dim(rid))
     return rep

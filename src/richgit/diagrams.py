@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .core import GrassCtx, GrassError, GrassIndex, RichardsonId, _fmt_ctx, _fmt_int, _index
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoxedPartition:
     """Row lengths of a Young diagram, bottom row first, weakly increasing."""
 
@@ -53,11 +53,15 @@ class BoxedPartition:
         return "(" + ",".join(str(p) for p in self.parts) + ")"
 
 
+_set_parts = BoxedPartition.parts.__set__
+_set_ctx = BoxedPartition.ctx.__set__
+
+
 def _partition(parts: tuple[int, ...], ctx: GrassCtx) -> BoxedPartition:
-    """BoxedPartition without validation, for parts derived from valid ones."""
+    """BoxedPartition built as a trusted record (see core._index)."""
     p = object.__new__(BoxedPartition)
-    object.__setattr__(p, "parts", parts)
-    object.__setattr__(p, "ctx", ctx)
+    _set_parts(p, parts)
+    _set_ctx(p, ctx)
     return p
 
 

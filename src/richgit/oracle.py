@@ -35,6 +35,7 @@ from .criteria import (
     SINGULAR,
     SMOOTH,
     AnalysisReport,
+    _require_coprime,
     analyze,
     minimal_pair,
 )
@@ -94,7 +95,7 @@ def hook_oracle_components(w: GrassIndex) -> frozenset[GrassIndex]:
     return frozenset([GrassIndex(c, ctx) for c in _hook_oracle_entries(w.entries)])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OracleMismatch:
     """Disagreement between the hook-removal formula and the cell-set oracle."""
 
@@ -131,7 +132,7 @@ def oracle_sweep(ctx: GrassCtx) -> tuple[OracleMismatch, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PatternMismatch:
     """Pair where the component criterion and the pattern shortcut disagree."""
 
@@ -149,7 +150,7 @@ class PatternMismatch:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CensusReport:
     """Aggregate verdicts over all semistable-admitting pairs of one context."""
 
@@ -199,7 +200,7 @@ def _check_pairs(ctx: GrassCtx) -> int:
     j = 1..min(k, n-k), so the loop stops once it passes MAX_PAIRS * n,
     where s alone passes MAX_PAIRS.  Otherwise returns C(n,k).
     """
-    minimal_pair(ctx)  # raises NotCoprime before any count
+    _require_coprime(ctx)
     k, n = ctx.k, ctx.n
     indices = 1
     for j in range(1, min(k, n - k) + 1):
@@ -299,7 +300,7 @@ GOLDEN_VERDICTS: tuple[tuple[tuple[int, ...], tuple[int, ...], str], ...] = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExampleCheck:
     """One reference verdict in G(4,9) replayed against analyze."""
 
@@ -334,7 +335,7 @@ def default_contexts(max_n: int = 12) -> list[GrassCtx]:
     ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VerifyReport:
     """Machine-readable pass/fail summary over a list of contexts."""
 

@@ -1,19 +1,25 @@
 import hashlib
 import json
 import random
+import re
 from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import richgit.criteria
 from richgit import (
     EMPTY_QUOTIENT,
     SINGULAR,
     SMOOTH,
+    ContextMismatch,
+    EmptyRichardson,
     GrassCtx,
     NotCoprime,
+    OutOfRange,
     RichardsonId,
+    WrongLength,
     analyze,
     complement_index,
     enumerate_indices,
@@ -24,8 +30,10 @@ from richgit import (
     richardson_singular_components,
     schubert_singular_components,
 )
+from richgit.cli import main
 
 G49 = GrassCtx(4, 9)
+G25 = GrassCtx(2, 5)
 
 
 def idx(values, ctx=G49):
@@ -243,6 +251,47 @@ class TestAnalyze:
     def test_not_coprime(self):
         with pytest.raises(NotCoprime):
             analyze((1, 2, 3, 4), (3, 4, 5, 6), GrassCtx(4, 6))
+
+    def test_refuses_before_building_the_minimal_pair(self, monkeypatch, capsys):
+        # minimal_pair builds three k-entry tuples; a refusal must not wait for them
+        def refuse(ctx):
+            raise AssertionError("minimal_pair ran before analyze's checks")
+
+        monkeypatch.setattr(richgit.criteria, "minimal_pair", refuse)
+        huge = GrassCtx(1000000, 1000001)
+        wrong_length = "expected 1000000 entries for G(1000000,1000001), got 2"
+        cases = [
+            ((1, 2), (1, 2), GrassCtx(4, 8), NotCoprime, "k=4 and n=8 are not coprime"),
+            ((1, 2), (1, 2), huge, WrongLength, wrong_length),
+            ((1, 2, 3), (1, 2, 3, 10), G49, WrongLength, "expected 4 entries for G(4,9), got 3"),
+            (
+                (1, 2, 3, 4),
+                (1, 2, 3, 10),
+                G49,
+                OutOfRange,
+                "entry 10 at position 4 is outside [1, 9]",
+            ),
+            (
+                (3, 5, 7, 9),
+                (1, 3, 4, 6),
+                G49,
+                EmptyRichardson,
+                "v=(3,5,7,9) is not below w=(1,3,4,6); X^v_w is empty",
+            ),
+            (
+                idx((1, 2), G25),
+                idx((2, 5), G25),
+                G49,
+                ContextMismatch,
+                "pair is from G(2,5), minimal pair from G(4,9)",
+            ),
+        ]
+        for v, w, ctx, error, message in cases:
+            with pytest.raises(error, match=f"^{re.escape(message)}$"):
+                analyze(v, w, ctx)
+        argv = ["analyze", "-k", "1000000", "-n", "1000001", "--v", "1,2", "--w", "1,2"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {wrong_length}\n"
 
     def test_accepts_prebuilt_indices(self):
         rep = analyze(idx((1, 3, 5, 7)), idx((3, 5, 7, 9)), G49)

@@ -25,6 +25,7 @@ from richgit import (
     schubert_singular_components,
     verify,
 )
+import richgit.criteria
 import richgit.oracle
 from richgit.cli import main, to_json
 from richgit.oracle import (
@@ -344,6 +345,24 @@ class TestCensus:
         assert _check_pairs(GrassCtx(7, 16)) == comb(16, 7)
         rep = next(admissible_reports(GrassCtx(7, 16)))
         assert rep.pair.v.entries == tuple(range(1, 8))
+
+    def test_refusals_build_no_minimal_pair(self, monkeypatch, capsys):
+        # minimal_pair builds three k-entry tuples; a refusal must not wait for them
+        monkeypatch.setattr(richgit.oracle, "minimal_pair", refuse)
+        monkeypatch.setattr(richgit.criteria, "minimal_pair", refuse)
+        for check in (_check_pairs, _check_census, census, lambda c: verify([c])):
+            with pytest.raises(NotCoprime, match=r"^k=4 and n=8 are not coprime$"):
+                check(GrassCtx(4, 8))
+        sweep = (
+            "G(3000000,3000001) has 9,000,003,000,000 oracle sweep cells "
+            "(3,000,001 indices of 3000000 cells); a census sweeps at most 16,777,216"
+        )
+        with pytest.raises(GrassError, match=f"^{re.escape(sweep)}$"):
+            census(GrassCtx(3000000, 3000001))
+        assert main(["census", "-k", "3000000", "-n", "3000001"]) == 2
+        assert capsys.readouterr().err == f"error: {sweep}\n"
+        assert main(["census", "-k", "4", "-n", "8", "--format", "csv"]) == 2
+        assert capsys.readouterr().err == "error: k=4 and n=8 are not coprime\n"
 
     def test_sweep_guard_refuses_before_any_work(self, monkeypatch):
         # G(2,259) has only 129 ** 2 pairs, but C(259,2) * 2 * 257 sweep cells
