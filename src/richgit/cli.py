@@ -13,7 +13,7 @@ import csv
 import io
 import json
 import sys
-from typing import Sequence
+from collections.abc import Sequence
 
 from .core import (
     GrassCtx,

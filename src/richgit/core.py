@@ -3,17 +3,19 @@
 Everything here is pure combinatorics on strictly increasing integer
 tuples.  An element of I(k,n) stands for a Schubert class / torus-fixed
 point of G(k,n); the componentwise partial order on these tuples is the
-Bruhat order.  All values are immutable and all functions are pure, so
-concurrent use needs no synchronization.
+Bruhat order.  All values are immutable and all functions are pure.  The
+one write after construction is the side memo of a GrassIndex (see
+_SideMemo), and it is idempotent: two threads that fill the same slot
+store equal records, so concurrent use needs no synchronization.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import combinations
 from operator import le, lt
-from typing import Sequence
 
 
 class GrassError(ValueError):
@@ -88,8 +90,23 @@ def fmt_tuple(entries: Sequence[int]) -> str:
     return "(" + ",".join(str(e) for e in entries) + ")"
 
 
+class _SideMemo:
+    """Two slots, not dataclass fields, that memoize the valley walks of an index.
+
+    singular._schubert_records and _opposite_records fill _schubert and
+    _opposite with the walk's records the first time they read an index
+    (through the slot descriptors: the frozen __setattr__ refuses them),
+    and read them back on every later call.  The memo lives and dies with
+    its index, so no global cache holds it.  Equality, hashing, repr,
+    copying, pickling and dataclasses.replace see the fields only: a copy
+    starts with an empty memo and walks again.
+    """
+
+    __slots__ = ("_schubert", "_opposite")
+
+
 @dataclass(frozen=True, slots=True)
-class GrassIndex:
+class GrassIndex(_SideMemo):
     """A strictly increasing k-tuple in [1, n], tagged with its context.
 
     Comparisons between indices use the Bruhat (componentwise) order and
@@ -154,8 +171,7 @@ class GrassIndex:
 
     def __hash__(self) -> int:
         # Equal indices have equal entries, so these alone make a valid hash;
-        # leaving ctx out saves a call of its Python-level __hash__ on every
-        # lru lookup keyed by an index.
+        # leaving ctx out saves a call of its Python-level __hash__.
         return hash(self.entries)
 
     def __str__(self) -> str:
@@ -244,13 +260,27 @@ def richardson_dim(rid: RichardsonId) -> int:
 def _interval(lo: tuple[int, ...], hi: tuple[int, ...]) -> list[tuple[int, ...]]:
     """All strictly increasing a with lo_i <= a_i <= hi_i, in lexicographic order.
 
-    Built level by level: each prefix is extended by every x in
-    [max(prev + 1, lo_i), hi_i], so no recursion limits k.
+    lo and hi are strictly increasing with lo <= hi, so lo is the first
+    tuple.  Each next one steps one list like an odometer: raise the last
+    entry i below hi_i by one and reset every later entry to its least
+    value max(a_{m-1} + 1, lo_m), which stays within hi_m as hi increases
+    strictly.  Each tuple is built once, in time linear in k, and no
+    recursion limits k.
     """
-    prefixes = [(x,) for x in range(lo[0], hi[0] + 1)]
-    for a, b in zip(lo[1:], hi[1:]):
-        prefixes = [p + (x,) for p in prefixes for x in range(max(p[-1] + 1, a), b + 1)]
-    return prefixes
+    a, k = list(lo), len(lo)
+    out = [lo]
+    while True:
+        i = k - 1
+        while i >= 0 and a[i] == hi[i]:
+            i -= 1
+        if i < 0:
+            return out
+        x = a[i] + 1
+        a[i] = x
+        for m in range(i + 1, k):
+            x = max(x + 1, lo[m])
+            a[m] = x
+        out.append(tuple(a))
 
 
 def indices_below(bound: GrassIndex) -> list[GrassIndex]:

@@ -17,10 +17,10 @@ records any disagreement, never silently resolving it.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import le
-from typing import Sequence
 
 from .core import (
     ContextMismatch,
@@ -30,11 +30,12 @@ from .core import (
     RichardsonId,
     _fmt_ctx,
     _fmt_int,
-    _richardson,
+    _index,
+    _set_v,
+    _set_w,
     make_index,
-    richardson_dim,
 )
-from .singular import CACHE_SIZE, OPPOSITE_SIDE, SCHUBERT_SIDE
+from .singular import OPPOSITE_SIDE, SCHUBERT_SIDE
 from .singular import _opposite_records, _schubert_records
 
 EMPTY_QUOTIENT = "EMPTY_QUOTIENT"
@@ -63,6 +64,12 @@ def _require_coprime(ctx: GrassCtx) -> None:
     """Raise NotCoprime unless gcd(k, n) = 1, before any work that grows with k."""
     if not ctx.coprime():
         raise NotCoprime(f"k={_fmt_int(ctx.k)} and n={_fmt_int(ctx.n)} are not coprime")
+
+
+# Entries kept by the one lru cache of the library, minimal_pair's: one per
+# context, so a default verify fills 45.  The valley walks of an index are
+# memoized on the index itself (core._SideMemo), not in a global cache.
+CACHE_SIZE = 2**16
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -126,15 +133,6 @@ _set_comp_source = ComponentReport.source.__set__
 _set_comp_ss = ComponentReport.has_semistable.__set__
 
 
-def _component_report(pair: RichardsonId, source: str, ss: bool) -> ComponentReport:
-    """ComponentReport built as a trusted record (see core._index)."""
-    rep = object.__new__(ComponentReport)
-    _set_comp_pair(rep, pair)
-    _set_comp_source(rep, source)
-    _set_comp_ss(rep, ss)
-    return rep
-
-
 @dataclass(frozen=True, slots=True)
 class AnalysisReport:
     """Full verdict record for one pair (v, w).
@@ -186,6 +184,7 @@ _set_by_components = AnalysisReport.smooth_by_components.__set__
 _set_by_pattern = AnalysisReport.smooth_by_pattern.__set__
 _set_verdict = AnalysisReport.verdict.__set__
 _set_dimension = AnalysisReport.dimension.__set__
+_new = object.__new__
 
 
 def analyze(
@@ -201,11 +200,18 @@ def analyze(
     checks, made in that order and all before minimal_pair(ctx) builds its
     k-entry tuples, so a refusal takes time in proportion to the tuples
     given, not to k; valid tuples of a huge context still cost time in
-    proportion to k.  Every value derived from the pair afterwards is
-    trusted.
+    proportion to k.  The pair is checked inline and built trusted; only a
+    pair that fails goes through RichardsonId's own checks, which raise
+    the same errors with the same messages.  Every value derived from the
+    pair afterwards is trusted.
     components equals richardson_singular_components(pair), built in one
-    pass over the cached side records, and each component's flag equals
-    has_semistable(component.pair, minimal_pair(ctx)).
+    pass over the side records memoized on v and w
+    (singular._schubert_records and _opposite_records), and each
+    component's flag equals has_semistable(component.pair, minimal_pair(ctx)).
+    Only a component that is kept becomes a GrassIndex, and its
+    RichardsonId and ComponentReport are set inline through their slot
+    descriptors.  dimension is length(w) - length(v), the difference of the
+    entry sums.
 
     Each side record answers both questions with one integer comparison.
     Entries are 0-based, and u_i - i is the offset of entry i of u.  Every
@@ -233,44 +239,64 @@ def analyze(
     _require_coprime(ctx)
     vi = v if isinstance(v, GrassIndex) else make_index(v, ctx)
     wi = w if isinstance(w, GrassIndex) else make_index(w, ctx)
-    rid = RichardsonId(vi, wi)
-    if rid.ctx is not ctx and rid.ctx != ctx:
+    ve, we = vi.entries, wi.entries
+    vc, wc = vi.ctx, wi.ctx
+    if not (
+        (vc is ctx or vc == ctx) and (wc is ctx or wc == ctx) and all(map(le, ve, we))
+    ):
+        rid = RichardsonId(vi, wi)
         raise ContextMismatch(
             f"pair is from {_fmt_ctx(rid.ctx)}, minimal pair from {_fmt_ctx(ctx)}"
         )
+    rid = _new(RichardsonId)
+    _set_v(rid, vi)
+    _set_w(rid, wi)
     mp = minimal_pair(ctx)
 
-    ve, we, v_min, a = vi.entries, wi.entries, mp.v_min.entries, mp.a
+    v_min, a = mp.v_min.entries, mp.a
     ss = all(map(le, ve, v_min)) and all(map(le, a, we))
-    comps, rows, xs = _schubert_records(wi)
-    schubert = [
-        _component_report(_richardson(vi, w2), SCHUBERT_SIDE, ss and x >= a[j])
-        for w2, j, x in zip(comps, rows, xs)
-        if ve[j] <= x
-    ]
-    comps, rows, ys = _opposite_records(vi)
-    opposite = [
-        _component_report(_richardson(v2, wi), OPPOSITE_SIDE, ss and v_min[J] >= y)
-        for v2, J, y in zip(comps, rows, ys)
-        if we[J] >= y
-    ]
-    components = tuple(schubert + opposite)
+    components = []
+    flagged = False
+    for c, j, x in _schubert_records(wi):
+        if ve[j] <= x:
+            flag = ss and x >= a[j]
+            flagged = flagged or flag
+            pair = _new(RichardsonId)
+            _set_v(pair, vi)
+            _set_w(pair, _index(c, ctx))
+            comp = _new(ComponentReport)
+            _set_comp_pair(comp, pair)
+            _set_comp_source(comp, SCHUBERT_SIDE)
+            _set_comp_ss(comp, flag)
+            components.append(comp)
+    for c, J, y in _opposite_records(vi):
+        if we[J] >= y:
+            flag = ss and v_min[J] >= y
+            flagged = flagged or flag
+            pair = _new(RichardsonId)
+            _set_v(pair, _index(c, ctx))
+            _set_w(pair, wi)
+            comp = _new(ComponentReport)
+            _set_comp_pair(comp, pair)
+            _set_comp_source(comp, OPPOSITE_SIDE)
+            _set_comp_ss(comp, flag)
+            components.append(comp)
     if not ss:
         by_components: bool | None = None
         by_pattern: bool | None = None
         verdict = EMPTY_QUOTIENT
     else:
-        by_components = all(not c.has_semistable for c in components)
+        by_components = not flagged
         by_pattern = _smooth_by_pattern(rid, mp)
         verdict = SMOOTH if by_components else SINGULAR
 
-    rep = object.__new__(AnalysisReport)
+    rep = _new(AnalysisReport)
     _set_pair(rep, rid)
     _set_nonempty(rep, True)
     _set_has_semistable(rep, ss)
-    _set_components(rep, components)
+    _set_components(rep, tuple(components))
     _set_by_components(rep, by_components)
     _set_by_pattern(rep, by_pattern)
     _set_verdict(rep, verdict)
-    _set_dimension(rep, richardson_dim(rid))
+    _set_dimension(rep, sum(we) - sum(ve))
     return rep

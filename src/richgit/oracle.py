@@ -18,10 +18,10 @@ verify aggregates censuses over a context list (default: all coprime
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
-from typing import Iterator
 
 from .core import (
     GrassCtx,

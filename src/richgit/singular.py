@@ -25,40 +25,31 @@ valleys of v^c.  The complement route is its test reference.
 
 The valley row and the one entry recorded let criteria.analyze test and
 flag each component with two integer comparisons (see its docstring).
-The records are lru-cached per index in _schubert_records and
-_opposite_records, each entry as three parallel tuples built once from
-the walk: the components as indices, their valley rows and their
-recorded entries.  schubert_singular_components and
-opposite_singular_components return the cached component tuple.
+Each walk returns its records as one tuple, and _schubert_records and
+_opposite_records keep that tuple on the index it walked, in the index's
+side memo (core._SideMemo): each side of an index is walked once however
+often it is read, and its records go when the index goes, so no global
+cache holds them.  schubert_singular_components and
+opposite_singular_components build a new tuple of indices from the
+records on each call.
 
 Richardson: the singular locus of X^v_w is the union of the Schubert-side
 components intersected with X^v and the opposite-side components
 intersected with X(w); empty intersections are dropped via the v <= w
 nonemptiness test.  richardson_singular_components is the public listing
-and the direct-comparison reference for criteria.analyze, which walks the
-cached records once.
+and the direct-comparison reference for criteria.analyze, which loops
+over the memoized records once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from operator import le
 
-from .core import GrassCtx, GrassIndex, RichardsonId, _index, _richardson
+from .core import GrassIndex, RichardsonId, _index, _richardson, _SideMemo
 
 SCHUBERT_SIDE = "SCHUBERT_SIDE"
 OPPOSITE_SIDE = "OPPOSITE_SIDE"
-
-# Entries kept by each lru cache of the library: the two side records
-# here and minimal_pair.  A default verify fills 431 entries of each side,
-# one per index of the rectangle's sides (the oracle sweep runs on entry
-# tuples, uncached), and 6,000 random analyze calls in G(7,16)..G(11,24)
-# about 3,750 of each, so neither evicts; larger sweeps evict instead of
-# growing without bound.  Filled with the first 65,536 indices of G(9,20),
-# the two side caches hold 517,351 components in 138 MB, 149 MB with
-# their keys (tracemalloc, CPython 3.11 on x86-64).
-CACHE_SIZE = 2**16
 
 
 @dataclass(frozen=True, slots=True)
@@ -81,7 +72,11 @@ def _component(pair: RichardsonId, source: str) -> SingularComponent:
     return comp
 
 
-def _schubert_walk(e: tuple[int, ...]) -> list[tuple[tuple[int, ...], int, int]]:
+# A walk's records: (component entries, valley row, recorded entry) each.
+_Records = tuple[tuple[tuple[int, ...], int, int], ...]
+
+
+def _schubert_walk(e: tuple[int, ...]) -> _Records:
     """Records (w', j, w_{j-1}) of the Schubert-side components, bottom first.
 
     e holds the entries of w; each w' is in the I(k,n) of e.  The only
@@ -95,10 +90,10 @@ def _schubert_walk(e: tuple[int, ...]) -> list[tuple[tuple[int, ...], int, int]]
             if x > j:
                 out.append((e[:s] + (e[s] - 1,) + e[s:j] + e[j + 1 :], j, x))
             s = j
-    return out
+    return tuple(out)
 
 
-def _opposite_walk(e: tuple[int, ...], n: int) -> list[tuple[tuple[int, ...], int, int]]:
+def _opposite_walk(e: tuple[int, ...], n: int) -> _Records:
     """Records (v', J, v_{J+1}) of the opposite-side components of v in I(k,n).
 
     e holds the entries of v; the mirrored rule of the module docstring,
@@ -114,35 +109,30 @@ def _opposite_walk(e: tuple[int, ...], n: int) -> list[tuple[tuple[int, ...], in
             if y <= top + J:
                 out.append((e[:J] + e[J + 1 : t + 1] + (e[t] + 1,) + e[t + 1 :], J, y))
             t = J
-    return out
+    return tuple(out)
 
 
-# A side cache entry: the components as indices, their valley rows and
-# their recorded entries, as three parallel tuples.  The last two hold
-# only ints, so the garbage collector stops tracking them.
-_Records = tuple[tuple[GrassIndex, ...], tuple[int, ...], tuple[int, ...]]
-_NO_RECORDS: _Records = ((), (), ())
+_set_schubert = _SideMemo._schubert.__set__
+_set_opposite = _SideMemo._opposite.__set__
 
 
-def _records(walk: list[tuple[tuple[int, ...], int, int]], ctx: GrassCtx) -> _Records:
-    """A walk's records split into the three tuples of a cache entry."""
-    if not walk:
-        return _NO_RECORDS
-    comps, rows, entries = zip(*walk)
-    return tuple([_index(c, ctx) for c in comps]), rows, entries
-
-
-@lru_cache(maxsize=CACHE_SIZE)
 def _schubert_records(w: GrassIndex) -> _Records:
-    """_schubert_walk of w as a cache entry."""
-    return _records(_schubert_walk(w.entries), w.ctx)
+    """_schubert_walk of w, walked once and then read from w's side memo."""
+    # getattr with a default: an unfilled slot raises no exception object here
+    records = getattr(w, "_schubert", None)
+    if records is None:
+        records = _schubert_walk(w.entries)
+        _set_schubert(w, records)
+    return records
 
 
-@lru_cache(maxsize=CACHE_SIZE)
 def _opposite_records(v: GrassIndex) -> _Records:
-    """_opposite_walk of v as a cache entry."""
-    ctx = v.ctx
-    return _records(_opposite_walk(v.entries, ctx.n), ctx)
+    """_opposite_walk of v, walked once and then read from v's side memo."""
+    records = getattr(v, "_opposite", None)
+    if records is None:
+        records = _opposite_walk(v.entries, v.ctx.n)
+        _set_opposite(v, records)
+    return records
 
 
 def schubert_singular_components(w: GrassIndex) -> tuple[GrassIndex, ...]:
@@ -150,17 +140,20 @@ def schubert_singular_components(w: GrassIndex) -> tuple[GrassIndex, ...]:
 
     Empty when the part sequence has at most one nonzero run (X(w) smooth).
     Components are ordered by the valley they remove, bottom row first.
+    A new tuple on each call, built from w's memoized walk.
     """
-    return _schubert_records(w)[0]
+    ctx = w.ctx
+    return tuple([_index(c, ctx) for c, _, _ in _schubert_records(w)])
 
 
 def opposite_singular_components(v: GrassIndex) -> tuple[GrassIndex, ...]:
     """Indices v' of the singular-locus components X^{v'} of X^v.
 
     The complements of the Schubert-side components of the complement of v,
-    in the same order.
+    in the same order.  A new tuple on each call, built from v's memoized walk.
     """
-    return _opposite_records(v)[0]
+    ctx = v.ctx
+    return tuple([_index(c, ctx) for c, _, _ in _opposite_records(v)])
 
 
 def richardson_singular_components(

@@ -291,6 +291,26 @@ class TestCensus:
         assert len(rows) == 2
         assert rows[1].startswith('1200,1201,"1,2,3,')
 
+    def test_huge_k_csv_finishes(self):
+        # G(300000,300001) passes both guards with one pair.  Enumerating its
+        # two 300,000-entry indices took minutes while each tuple grew by one
+        # entry per position (quadratic in k); built once each, the whole
+        # process takes about a second.
+        k = 300000
+        root = Path(__file__).parent.parent
+        done = subprocess.run(
+            [sys.executable, "-m", "richgit.cli", *census_argv(k, k + 1, "csv")],
+            env={**os.environ, "PYTHONPATH": str(root / "src")},
+            capture_output=True,
+            timeout=30,
+        )
+        assert (done.returncode, done.stderr) == (0, b"")
+        header, row = done.stdout.decode().splitlines()
+        assert header == "k,n,v,w,dimension,has_semistable,smooth"
+        v = ",".join(map(str, range(1, k + 1)))
+        w = ",".join(map(str, range(2, k + 2)))
+        assert row == f'{k},{k + 1},"{v}","{w}",{k},true,true'
+
     def test_long_indices_text(self, capsys):
         code, out, err = run_cli(capsys, "census", "-k", "990", "-n", "991")
         assert (code, err) == (0, "")

@@ -285,6 +285,20 @@ class TestAnalyze:
                 ContextMismatch,
                 "pair is from G(2,5), minimal pair from G(4,9)",
             ),
+            (
+                idx((1, 2), G25),
+                idx((3, 5, 7, 9), G49),
+                G49,
+                ContextMismatch,
+                "v is from G(2,5) but w is from G(4,9)",
+            ),
+            (
+                idx((2, 5), G25),
+                idx((1, 2), G25),
+                G49,
+                EmptyRichardson,
+                "v=(2,5) is not below w=(1,2); X^v_w is empty",
+            ),
         ]
         for v, w, ctx, error, message in cases:
             with pytest.raises(error, match=f"^{re.escape(message)}$"):

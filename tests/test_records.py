@@ -33,7 +33,7 @@ from richgit import (
     verify,
 )
 from richgit.core import _index, _richardson
-from richgit.criteria import ComponentReport, _component_report
+from richgit.criteria import ComponentReport
 from richgit.diagrams import _partition
 from richgit.oracle import OracleMismatch, PatternMismatch
 from richgit.singular import SCHUBERT_SIDE, _component
@@ -135,9 +135,10 @@ def trusted_and_validated():
             _component(rid, SCHUBERT_SIDE),
             SingularComponent(rid, SCHUBERT_SIDE),
         ),
-        "criteria._component_report": (
-            _component_report(comp.pair, comp.source, comp.has_semistable),
-            ComponentReport(comp.pair, comp.source, comp.has_semistable),
+        # analyze sets each kept component's two records inline
+        "criteria.analyze-component": (
+            comp,
+            ComponentReport(RichardsonId(comp.pair.v, comp.pair.w), comp.source, comp.has_semistable),
         ),
         "criteria.analyze": (rep, validated(rep)),
         "criteria.analyze-empty-quotient": (empty, validated(empty)),

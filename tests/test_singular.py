@@ -1,6 +1,10 @@
+import copy
+import dataclasses
 import gc
 import importlib
+import pickle
 import pkgutil
+import random
 import tracemalloc
 from itertools import combinations, groupby
 
@@ -10,9 +14,14 @@ from richgit import (
     OPPOSITE_SIDE,
     SCHUBERT_SIDE,
     GrassCtx,
+    GrassIndex,
     RichardsonId,
+    analyze,
+    census,
     complement_index,
     enumerate_indices,
+    indices_above,
+    indices_below,
     length,
     make_index,
     minimal_pair,
@@ -21,6 +30,7 @@ from richgit import (
     schubert_singular_components,
     to_partition,
 )
+from richgit import singular
 from richgit.core import _index
 from richgit.oracle import _hook_oracle_entries
 from richgit.singular import (
@@ -239,12 +249,10 @@ class TestRichardsonComponents:
                             assert v <= c.pair.v and c.pair.v != v
 
 
-# Every lru_cache of richgit, by the public function it serves.  The side
-# caches hold the valley records behind the two public side functions.
+# Every lru_cache of richgit, by the public function it serves.  The valley
+# walks of an index are memoized on the index, not in a global cache.
 CACHE_BEHIND = {
     "minimal_pair": "richgit.criteria.minimal_pair",
-    "opposite_singular_components": "richgit.singular._opposite_records",
-    "schubert_singular_components": "richgit.singular._schubert_records",
 }
 
 
@@ -270,69 +278,121 @@ def test_caches_are_bounded(public):
     assert maxsize is not None and 0 < maxsize <= 2**16
 
 
-def split_walk(walk, ctx):
-    """A walk's records as three tuples: component indices, valley rows, entries."""
-    return (
-        tuple(_index(c, ctx) for c, _, _ in walk),
-        tuple(j for _, j, _ in walk),
-        tuple(x for _, _, x in walk),
-    )
+SIDES = (
+    (_schubert_records, schubert_singular_components, lambda u: _schubert_walk(u.entries)),
+    (
+        _opposite_records,
+        opposite_singular_components,
+        lambda u: _opposite_walk(u.entries, u.ctx.n),
+    ),
+)
 
 
-class TestSideCacheLayout:
-    def test_entries_are_the_walks_split_in_three(self):
-        sides = (
-            (_schubert_records, schubert_singular_components, lambda u: _schubert_walk(u.entries)),
-            (
-                _opposite_records,
-                opposite_singular_components,
-                lambda u: _opposite_walk(u.entries, u.ctx.n),
-            ),
-        )
+def memo(u):
+    """The two side memo slots of u, None where unfilled."""
+    return getattr(u, "_schubert", None), getattr(u, "_opposite", None)
+
+
+class TestSideMemo:
+    def test_records_are_the_walks(self):
         for ctx in all_small_ctxs(10):
             for u in enumerate_indices(ctx):
-                for records, public, walk in sides:
-                    entry = records(u)
-                    assert entry == split_walk(walk(u), ctx)
-                    comps, rows, values = entry
+                for records, public, walk in SIDES:
+                    first = records(u)
+                    assert type(first) is tuple and first == walk(u)
+                    # read back from the memo, not walked again
+                    assert records(u) is first
+                    comps = public(u)
+                    assert comps == tuple(_index(c, ctx) for c, _, _ in first)
                     assert all(c.ctx == ctx for c in comps)
-                    assert {type(x) for x in rows + values} <= {int}
-                    # the public function hands out the cached tuple, not a copy
-                    assert public(u) is comps
+                    if comps:
+                        # the public function builds a new tuple on each call
+                        assert public(u) is not comps
+                assert None not in memo(u)
 
-    def test_int_tuples_are_not_tracked_by_the_gc(self):
+    def test_records_are_not_tracked_by_the_gc(self):
+        # a record holds an entry tuple and two ints, so the GC stops tracking
+        # it and the memo tuple around it.  A collection untracks a tuple only
+        # if its items are untracked already, and it may visit the tuple
+        # first: the three levels of nesting can take three collections.
         ctx = GrassCtx(5, 12)
-        entries = [
-            records(u)
-            for u in enumerate_indices(ctx)
-            for records in (_schubert_records, _opposite_records)
-        ]
-        gc.collect()
-        assert sum(len(e[0]) for e in entries) > 0
-        for comps, rows, values in entries:
-            assert not gc.is_tracked(rows) and not gc.is_tracked(values)
-
-    def test_retained_bytes_per_component(self):
-        # both caches filled over G(7,16): 11,440 indices, 67,212 components.
-        # On CPython 3.10-3.13 they retain 283 B per component (keys excluded);
-        # a 3-tuple and an instance dict more per component make it 387 B.
-        ctx = GrassCtx(7, 16)
-        indices = enumerate_indices(ctx)
-        _schubert_records.cache_clear()
-        _opposite_records.cache_clear()
-        try:
+        entries = [records(u) for u in enumerate_indices(ctx) for records, _, _ in SIDES]
+        for _ in range(3):
             gc.collect()
-            tracemalloc.start()
-            try:
-                components = 0
-                for u in indices:
-                    components += len(_schubert_records(u)[0]) + len(_opposite_records(u)[0])
-                gc.collect()
-                retained = tracemalloc.get_traced_memory()[0]
-            finally:
-                tracemalloc.stop()
-            assert len(indices) == 11440 and components == 67212
-            assert retained / components <= 320
+        assert sum(map(len, entries)) > 0
+        for entry in entries:
+            assert not gc.is_tracked(entry)
+            assert not any(gc.is_tracked(record) for record in entry)
+
+    def test_census_walks_each_side_index_once(self, monkeypatch):
+        # oracle binds _schubert_walk under its own name, so its sweep is not counted
+        walked = {"schubert": [], "opposite": []}
+
+        def counting(side, walk):
+            def counted(e, *rest):
+                walked[side].append(e)
+                return walk(e, *rest)
+
+            return counted
+
+        monkeypatch.setattr(singular, "_schubert_walk", counting("schubert", _schubert_walk))
+        monkeypatch.setattr(singular, "_opposite_walk", counting("opposite", _opposite_walk))
+        rep = census(G49)
+        assert rep.total_pairs == 14 * 14
+        mp = minimal_pair(G49)
+        assert sorted(walked["schubert"]) == [u.entries for u in indices_above(mp.w_min)]
+        assert sorted(walked["opposite"]) == [u.entries for u in indices_below(mp.v_min)]
+
+    def test_analyze_retains_nothing(self):
+        # 2,000 seeded pairs of raw tuples in G(9,20), with about 7,700 kept
+        # components: the memos go with the reports.  A global side cache
+        # would keep them (4.7 MB on these pairs).
+        ctx = GrassCtx(9, 20)
+        rng = random.Random(2020)
+        pairs = []
+        for _ in range(2000):
+            a, b = sorted(rng.sample(range(1, 21), 9)), sorted(rng.sample(range(1, 21), 9))
+            pairs.append((tuple(map(min, a, b)), tuple(map(max, a, b))))
+        analyze(*pairs[0], ctx)  # fills minimal_pair's cache outside the trace
+        gc.collect()
+        tracemalloc.start()
+        try:
+            components = 0
+            for v, w in pairs:
+                components += len(analyze(v, w, ctx).components)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0]
         finally:
-            _schubert_records.cache_clear()
-            _opposite_records.cache_clear()
+            tracemalloc.stop()
+        assert components > 5000
+        assert retained < 1024
+
+    def test_memo_slots_are_not_fields(self):
+        assert [f.name for f in dataclasses.fields(GrassIndex)] == ["entries", "ctx"]
+        u = idx((1, 3, 4, 6))
+        assert memo(u) == (None, None)
+        # CPython 3.10-3.13 raise TypeError, not FrozenInstanceError, for a
+        # name that is not a field of a frozen slotted dataclass
+        with pytest.raises((AttributeError, TypeError)):
+            u._schubert = ()
+        assert memo(u) == (None, None)
+
+    def test_filled_memo_is_invisible(self):
+        filled = idx((1, 3, 4, 6))
+        walks = [records(filled) for records, _, _ in SIDES]
+        assert all(walks)
+        fresh = idx((1, 3, 4, 6))
+        assert memo(fresh) == (None, None)
+        assert filled == fresh and hash(filled) == hash(fresh)
+        assert repr(filled) == repr(fresh)
+        clones = (
+            copy.copy(filled),
+            copy.deepcopy(filled),
+            pickle.loads(pickle.dumps(filled)),
+            dataclasses.replace(filled),
+        )
+        for clone in clones:
+            assert clone == filled and memo(clone) == (None, None)
+            again = [records(clone) for records, _, _ in SIDES]
+            assert again == walks
+            assert all(x is not y for x, y in zip(again, walks))
