@@ -140,6 +140,140 @@ class TestRenderAndSingular:
         assert "smooth" in out
 
 
+def pretty(data):
+    """JSON as the CLI writes it, serialized here rather than by cli.to_json."""
+    return json.dumps(data, sort_keys=True, indent=2) + "\n"
+
+
+PAIR_COMMANDS = ("analyze", "singular", "render")
+PAIR = ["-k", "4", "-n", "9", "--v", "2,4,5,7", "--w", "3,5,7,9"]
+SMOOTH_PAIR = ["-k", "4", "-n", "9", "--v", "1,2,3,4", "--w", "6,7,8,9"]
+NOT_COPRIME_PAIR = ["-k", "4", "-n", "6", "--v", "1,2,3,4", "--w", "3,4,5,6"]
+V, W = [2, 4, 5, 7], [3, 5, 7, 9]
+
+# Every output byte of the commands no benchmark workload runs (singular,
+# render, minimal) and of analyze's text, as (argv, stdout); exit 0, no stderr.
+CLI_GOLDENS = {
+    "singular-text": (
+        ["singular", *PAIR],
+        "singular locus of X^(2,4,5,7)_(3,5,7,9) in G(4,9):\n"
+        "  SCHUBERT_SIDE v=(2,4,5,7) w=(3,4,5,9)\n"
+        "  SCHUBERT_SIDE v=(2,4,5,7) w=(3,5,6,7)\n"
+        "  OPPOSITE_SIDE v=(2,4,7,8) w=(3,5,7,9)\n",
+    ),
+    "singular-json": (
+        ["singular", *PAIR, "--format", "json"],
+        pretty(
+            {
+                "k": 4, "n": 9, "v": V, "w": W,
+                "components": [
+                    {"v": V, "w": [3, 4, 5, 9], "source": "SCHUBERT_SIDE"},
+                    {"v": V, "w": [3, 5, 6, 7], "source": "SCHUBERT_SIDE"},
+                    {"v": [2, 4, 7, 8], "w": W, "source": "OPPOSITE_SIDE"},
+                ],
+            }
+        ),
+    ),
+    "singular-smooth-text": (
+        ["singular", *SMOOTH_PAIR],
+        "singular locus of X^(1,2,3,4)_(6,7,8,9) in G(4,9):\n"
+        "  (empty: the variety is smooth)\n",
+    ),
+    "singular-smooth-json": (
+        ["singular", *SMOOTH_PAIR, "--format", "json"],
+        pretty({"k": 4, "n": 9, "v": [1, 2, 3, 4], "w": [6, 7, 8, 9], "components": []}),
+    ),
+    "singular-not-coprime-text": (
+        ["singular", *NOT_COPRIME_PAIR],
+        "singular locus of X^(1,2,3,4)_(3,4,5,6) in G(4,6):\n"
+        "  (empty: the variety is smooth)\n",
+    ),
+    "singular-not-coprime-json": (
+        ["singular", *NOT_COPRIME_PAIR, "--format", "json"],
+        pretty({"k": 4, "n": 6, "v": [1, 2, 3, 4], "w": [3, 4, 5, 6], "components": []}),
+    ),
+    "render-text": (["render", *PAIR], "vvv##\nvv##.\nvv#..\nv#...\n"),
+    "render-json": (
+        ["render", *PAIR, "--format", "json"],
+        pretty({"k": 4, "n": 9, "v": V, "w": W, "grid": ["vvv##", "vv##.", "vv#..", "v#..."]}),
+    ),
+    "minimal-text": (["minimal", "-k", "4", "-n", "9"], "w_min = (3,5,7,9)  v_min = (1,3,5,7)\n"),
+    "minimal-json": (
+        ["minimal", "-k", "4", "-n", "9", "--format", "json"],
+        pretty({"k": 4, "n": 9, "w_min": [3, 5, 7, 9], "v_min": [1, 3, 5, 7], "a": [3, 5, 7, 9]}),
+    ),
+    "analyze-text": (
+        ["analyze", "-k", "4", "-n", "9", "--v", "1,2,3,5", "--w", "3,5,7,9"],
+        "pair: v=(1,2,3,5) w=(3,5,7,9) in G(4,9)\n"
+        "nonempty: true\n"
+        "has_semistable: true\n"
+        "dimension: 13\n"
+        "components:\n"
+        "  SCHUBERT_SIDE v=(1,2,3,5) w=(2,3,7,9) has_semistable=false\n"
+        "  SCHUBERT_SIDE v=(1,2,3,5) w=(3,4,5,9) has_semistable=false\n"
+        "  SCHUBERT_SIDE v=(1,2,3,5) w=(3,5,6,7) has_semistable=false\n"
+        "  OPPOSITE_SIDE v=(1,2,5,6) w=(3,5,7,9) has_semistable=true\n"
+        "smooth_by_components: false\n"
+        "smooth_by_pattern: false\n"
+        "verdict: SINGULAR\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLI_GOLDENS))
+def test_golden_bytes(capsys, name):
+    argv, expected = CLI_GOLDENS[name]
+    assert run_cli(capsys, *argv) == (0, expected, "")
+
+
+@pytest.mark.parametrize("command", PAIR_COMMANDS)
+@pytest.mark.parametrize(
+    "args, line",
+    [
+        # the context is checked first, then v, then w, then the pair
+        (["-k", "4", "-n", "4", "--v", "0", "--w", "0"], "need 1 <= k < n, got k=4 n=4"),
+        (["-k", "4", "-n", "9", "--v", "1,2", "--w", "0"], "expected 4 entries for G(4,9), got 2"),
+        (
+            ["-k", "4", "-n", "9", "--v", "1,2,3,4", "--w", "3,3,5,6"],
+            "entry 3 at position 2 does not exceed 3",
+        ),
+        (
+            ["-k", "4", "-n", "9", "--v", "4,5,6,7", "--w", "3,5,7,9"],
+            "v=(4,5,6,7) is not below w=(3,5,7,9); X^v_w is empty",
+        ),
+    ],
+    ids=["ctx", "v", "w", "pair"],
+)
+def test_pair_command_error_order(capsys, command, args, line):
+    assert run_cli(capsys, command, *args) == (2, "", f"error: {line}\n")
+
+
+def test_readme_cli_examples(capsys):
+    # each `richgit ...` line of README "## CLI" runs; a `# ...` line right
+    # after one is its output: exact, or pieces between "..." found in order
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## CLI", 1)[1]
+    lines = re.search(r"```sh\n(.*?)```", section, re.S).group(1).splitlines()
+    ran, checked = [], []
+    for line, after in zip(lines, lines[1:] + [""]):
+        if not line.startswith("richgit "):
+            continue
+        argv = line.split("#", 1)[0].split()[1:]
+        code, out, err = run_cli(capsys, *argv)
+        # the default verify covers G(3,8), where the pattern shortcut diverges
+        assert (code, err) == ((1 if argv == ["verify"] else 0), ""), line
+        ran.append(argv[0])
+        if after.startswith("# "):
+            pieces = after[2:].split("...")
+            if len(pieces) == 1:
+                assert out == pieces[0] + "\n"
+            else:
+                assert re.search(".*".join(re.escape(p.strip()) for p in pieces), out, re.S)
+            checked.append(argv[0])
+    assert ran == ["minimal", "analyze", "singular", "render", "census", "verify", "verify"]
+    assert checked == ["minimal", "analyze"]
+
+
 class TestCensus:
     def test_csv_golden(self, capsys):
         code, out, _ = run_cli(capsys, "census", "-k", "2", "-n", "3", "--format", "csv")
@@ -379,7 +513,6 @@ class TestOutFile:
 
 
 MALFORMED = st.sampled_from(["", ",", "1,,2", "1,2,", "x", "1.5", " ", "3,a", "0x3"])
-PAIR_COMMANDS = ("analyze", "singular", "render")
 
 
 @st.composite
