@@ -22,7 +22,6 @@ from .core import (
     indices_below,
     length,
     make_index,
-    richardson_dim,
 )
 from .criteria import (
     EMPTY_QUOTIENT,
@@ -51,7 +50,6 @@ from .oracle import (
     VerifyReport,
     census,
     default_contexts,
-    hook_oracle_components,
     oracle_sweep,
     verify,
 )
@@ -99,7 +97,6 @@ __all__ = [
     "enumerate_indices",
     "from_partition",
     "has_semistable",
-    "hook_oracle_components",
     "indices_above",
     "indices_below",
     "length",
@@ -108,7 +105,6 @@ __all__ = [
     "opposite_singular_components",
     "oracle_sweep",
     "render_skew",
-    "richardson_dim",
     "richardson_singular_components",
     "schubert_singular_components",
     "to_partition",

@@ -201,89 +201,54 @@ def _verify_text(rep) -> str:
 
 
 def _execute(args: argparse.Namespace) -> tuple[int, str]:
-    if args.command == "minimal":
-        mp = minimal_pair(GrassCtx(args.k, args.n))
-        if args.format == "json":
-            out = to_json(
-                {
-                    "k": args.k,
-                    "n": args.n,
-                    "w_min": list(mp.w_min.entries),
-                    "v_min": list(mp.v_min.entries),
-                    "a": list(mp.a),
-                }
-            )
-        else:
-            out = f"w_min = {mp.w_min}  v_min = {mp.v_min}\n"
-        return 0, out
+    """(exit code, output) of one parsed command; a GrassError propagates.
 
-    if args.command == "analyze":
-        rep = analyze(args.v, args.w, GrassCtx(args.k, args.n))
-        out = to_json(rep.to_dict()) if args.format == "json" else _analysis_text(rep)
-        return 0, out
-
-    if args.command == "singular":
+    verify builds no context.  Every other command checks the context
+    first, then v, then w, then the pair.  Each command gives its JSON
+    object and its text as two callables, and only the one --format
+    names runs.
+    """
+    if args.command != "verify":
         ctx = GrassCtx(args.k, args.n)
+        head = {"k": args.k, "n": args.n}
+    if args.command in ("singular", "render"):
         rid = RichardsonId(make_index(args.v, ctx), make_index(args.w, ctx))
-        comps = richardson_singular_components(rid)
-        if args.format == "json":
-            out = to_json(
-                {
-                    "k": args.k,
-                    "n": args.n,
-                    "v": list(rid.v.entries),
-                    "w": list(rid.w.entries),
-                    "components": [
-                        {
-                            "v": list(c.pair.v.entries),
-                            "w": list(c.pair.w.entries),
-                            "source": c.source,
-                        }
-                        for c in comps
-                    ],
-                }
-            )
-        else:
-            lines = [f"singular locus of X^{rid.v}_{rid.w} in {ctx}:"]
-            if not comps:
-                lines.append("  (empty: the variety is smooth)")
-            for c in comps:
-                lines.append(f"  {c.source} v={c.pair.v} w={c.pair.w}")
-            out = "\n".join(lines) + "\n"
-        return 0, out
-
-    if args.command == "render":
-        ctx = GrassCtx(args.k, args.n)
-        rid = RichardsonId(make_index(args.v, ctx), make_index(args.w, ctx))
-        grid = render_skew(rid)
-        if args.format == "json":
-            out = to_json(
-                {
-                    "k": args.k,
-                    "n": args.n,
-                    "v": list(rid.v.entries),
-                    "w": list(rid.w.entries),
-                    "grid": grid.split("\n"),
-                }
-            )
-        else:
-            out = grid + "\n"
-        return 0, out
-
-    if args.command == "census":
-        ctx = GrassCtx(args.k, args.n)
+        head.update(v=list(rid.v.entries), w=list(rid.w.entries))
+    code = 0
+    if args.command == "verify":
+        rep = verify(args.ctx)
+        code = 0 if rep.passed else 1
+        data, text = rep.to_dict, lambda: _verify_text(rep)
+    elif args.command == "census":
         if args.format == "csv":
             return 0, _census_csv(ctx)
         rep = census(ctx)
-        out = to_json(rep.to_dict()) if args.format == "json" else _census_text(rep)
-        return 0, out
-
-    if args.command == "verify":
-        rep = verify(args.ctx)
-        out = to_json(rep.to_dict()) if args.format == "json" else _verify_text(rep)
-        return (0 if rep.passed else 1), out
-
-    raise AssertionError(f"unhandled command {args.command!r}")
+        data, text = rep.to_dict, lambda: _census_text(rep)
+    elif args.command == "analyze":
+        rep = analyze(args.v, args.w, ctx)
+        data, text = rep.to_dict, lambda: _analysis_text(rep)
+    elif args.command == "minimal":
+        mp = minimal_pair(ctx)
+        w_min, v_min = list(mp.w_min.entries), list(mp.v_min.entries)
+        data = lambda: {**head, "w_min": w_min, "v_min": v_min, "a": list(mp.a)}
+        text = lambda: f"w_min = {mp.w_min}  v_min = {mp.v_min}\n"
+    elif args.command == "singular":
+        comps = richardson_singular_components(rid)
+        data = lambda: {
+            **head,
+            "components": [
+                {"v": list(c.pair.v.entries), "w": list(c.pair.w.entries), "source": c.source}
+                for c in comps
+            ],
+        }
+        lines = [f"  {c.source} v={c.pair.v} w={c.pair.w}" for c in comps]
+        text = lambda: "\n".join(
+            [f"singular locus of {rid} in {ctx}:"] + (lines or ["  (empty: the variety is smooth)"])
+        ) + "\n"
+    else:
+        grid = render_skew(rid)
+        data, text = lambda: {**head, "grid": grid.split("\n")}, lambda: grid + "\n"
+    return code, to_json(data()) if args.format == "json" else text()
 
 
 def main(argv: Sequence[str] | None = None) -> int:

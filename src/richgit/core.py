@@ -111,10 +111,13 @@ class GrassIndex(_SideMemo):
 
     Comparisons between indices use the Bruhat (componentwise) order and
     raise ContextMismatch when the contexts differ; the order is partial,
-    so ``not a <= b`` does not imply ``b <= a``.
+    so ``not a <= b`` does not imply ``b <= a``.  ``a >= b`` is ``b <= a``
+    (Python's reflected operator), and either operator raises TypeError
+    when one side is not an index.
 
     Construction validates the entries: a tuple of ints (bools rejected),
-    then length, range and strict increase.  Indices the library derives
+    then length, range and strict increase; a ctx that is not a GrassCtx
+    is refused too.  Indices the library derives
     from valid ones (enumeration, partitions, complements, hook removal)
     are built by _index instead, which skips that check.
     """
@@ -126,16 +129,21 @@ class GrassIndex(_SideMemo):
         entries, ctx = self.entries, self.ctx
         # Fast path: a valid index passes these C-level checks without a
         # Python loop (type() is exact, so a bool fails {int}).  Anything
-        # else takes the loops below, which raise for the first failing check.
-        if (
-            type(entries) is tuple
-            and len(entries) == ctx.k
-            and set(map(type, entries)) == {int}
-            and 1 <= entries[0]
-            and entries[-1] <= ctx.n
-            and all(map(lt, entries, entries[1:]))
-        ):
-            return
+        # else takes the loops below, which raise for the first failing
+        # check.  Tuple entries always reach ctx.k, so a ctx without k or n
+        # is refused here; from Python 3.11 on the try is one NOP.
+        try:
+            if (
+                type(entries) is tuple
+                and len(entries) == ctx.k
+                and set(map(type, entries)) == {int}
+                and 1 <= entries[0]
+                and entries[-1] <= ctx.n
+                and all(map(lt, entries, entries[1:]))
+            ):
+                return
+        except AttributeError:
+            raise GrassError(f"ctx must be a GrassCtx, not {type(ctx).__name__}") from None
         if type(self.entries) is not tuple:
             raise GrassError(f"entries must be a tuple, not {type(self.entries).__name__}")
         for pos, e in enumerate(self.entries, start=1):
@@ -159,29 +167,24 @@ class GrassIndex(_SideMemo):
                 )
             prev = e
 
-    def __le__(self, other: "GrassIndex") -> bool:
+    def __le__(self, other: object) -> bool:
+        if not isinstance(other, GrassIndex):
+            return NotImplemented
         if self.ctx is not other.ctx and self.ctx != other.ctx:
             raise ContextMismatch(
                 f"cannot compare {_fmt_ctx(self.ctx)} with {_fmt_ctx(other.ctx)}"
             )
         return all(map(le, self.entries, other.entries))
 
-    def __ge__(self, other: "GrassIndex") -> bool:
-        return other.__le__(self)
-
-    def __hash__(self) -> int:
-        # Equal indices have equal entries, so these alone make a valid hash;
-        # leaving ctx out saves a call of its Python-level __hash__.
-        return hash(self.entries)
-
     def __str__(self) -> str:
         return fmt_tuple(self.entries)
 
 
-# Every record class of the library is a frozen, slotted dataclass.  Its
-# trusted constructors (_index here, and one per module for the records it
-# derives) set the fields through the class's slot descriptors: no
-# __post_init__ check, and no frozen __setattr__ in the way.
+# Every record class of the library is a frozen, slotted dataclass.  The
+# trusted constructors (_index and _richardson here, diagrams._partition,
+# and the inline setters of criteria.analyze) set the fields through the
+# class's slot descriptors: no __post_init__ check, and no frozen
+# __setattr__ in the way.
 _set_entries = GrassIndex.entries.__set__
 _set_index_ctx = GrassIndex.ctx.__set__
 
@@ -223,6 +226,9 @@ class RichardsonId:
     w: GrassIndex
 
     def __post_init__(self) -> None:
+        for name, x in (("v", self.v), ("w", self.w)):
+            if not isinstance(x, GrassIndex):
+                raise GrassError(f"{name} must be a GrassIndex, not {type(x).__name__}")
         if self.v.ctx is not self.w.ctx and self.v.ctx != self.w.ctx:
             raise ContextMismatch(
                 f"v is from {_fmt_ctx(self.v.ctx)} but w is from {_fmt_ctx(self.w.ctx)}"
@@ -250,11 +256,6 @@ def _richardson(v: GrassIndex, w: GrassIndex) -> RichardsonId:
     _set_v(rid, v)
     _set_w(rid, w)
     return rid
-
-
-def richardson_dim(rid: RichardsonId) -> int:
-    """dim X^v_w = length(w) - length(v); zero exactly when v = w."""
-    return length(rid.w) - length(rid.v)
 
 
 def _interval(lo: tuple[int, ...], hi: tuple[int, ...]) -> list[tuple[int, ...]]:

@@ -67,8 +67,7 @@ def _require_coprime(ctx: GrassCtx) -> None:
 
 
 # Entries kept by the one lru cache of the library, minimal_pair's: one per
-# context, so a default verify fills 45.  The valley walks of an index are
-# memoized on the index itself (core._SideMemo), not in a global cache.
+# context, so a default verify fills 45.
 CACHE_SIZE = 2**16
 
 

@@ -34,6 +34,8 @@ class BoxedPartition:
         for i, p in enumerate(self.parts, start=1):
             if type(p) is not int:
                 raise GrassError(f"row {i} has {p!r} boxes, not an integer")
+        if not isinstance(self.ctx, GrassCtx):
+            raise GrassError(f"ctx must be a GrassCtx, not {type(self.ctx).__name__}")
         k, width = self.ctx.k, self.ctx.n - self.ctx.k
         if len(self.parts) != k:
             raise GrassError(

@@ -1,6 +1,6 @@
 """Brute-force validators and exhaustive reports.
 
-hook_oracle_components recomputes Schubert singular loci from the cells
+_hook_oracle_entries recomputes the Schubert singular loci from the cells
 of the diagram, held as one int bitmask per row: valleys and hooks are
 bit operations on neighbouring rows, and entries are recounted from the
 cells left.  It shares none of the hook-removal code, so the two routes
@@ -83,16 +83,6 @@ def _hook_oracle_entries(e: tuple[int, ...]) -> set[tuple[int, ...]]:
             rest = [r & ~bit for r in rows[:j]] + [row & (bit - 1)] + rows[j + 1 :]
             out.add(tuple(r.bit_count() + i for i, r in enumerate(rest, start=1)))
     return out
-
-
-def hook_oracle_components(w: GrassIndex) -> frozenset[GrassIndex]:
-    """Singular-locus components of X(w), recomputed from explicit cell sets.
-
-    _hook_oracle_entries on the entries of w, each result validated by the
-    GrassIndex constructor.
-    """
-    ctx = w.ctx
-    return frozenset([GrassIndex(c, ctx) for c in _hook_oracle_entries(w.entries)])
 
 
 @dataclass(frozen=True, slots=True)

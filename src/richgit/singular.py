@@ -60,18 +60,6 @@ class SingularComponent:
     source: str
 
 
-_set_pair = SingularComponent.pair.__set__
-_set_source = SingularComponent.source.__set__
-
-
-def _component(pair: RichardsonId, source: str) -> SingularComponent:
-    """SingularComponent built as a trusted record (see core._index)."""
-    comp = object.__new__(SingularComponent)
-    _set_pair(comp, pair)
-    _set_source(comp, source)
-    return comp
-
-
 # A walk's records: (component entries, valley row, recorded entry) each.
 _Records = tuple[tuple[tuple[int, ...], int, int], ...]
 
@@ -172,12 +160,12 @@ def richardson_singular_components(
     v, w = rid.v, rid.w
     ve, we = v.entries, w.entries
     schubert = [
-        _component(_richardson(v, w2), SCHUBERT_SIDE)
+        SingularComponent(_richardson(v, w2), SCHUBERT_SIDE)
         for w2 in schubert_singular_components(w)
         if all(map(le, ve, w2.entries))
     ]
     opposite = [
-        _component(_richardson(v2, w), OPPOSITE_SIDE)
+        SingularComponent(_richardson(v2, w), OPPOSITE_SIDE)
         for v2 in opposite_singular_components(v)
         if all(map(le, v2.entries, we))
     ]

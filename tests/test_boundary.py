@@ -30,7 +30,6 @@ from richgit import (
     enumerate_indices,
     from_partition,
     has_semistable,
-    hook_oracle_components,
     indices_above,
     indices_below,
     make_index,
@@ -40,6 +39,7 @@ from richgit import (
     schubert_singular_components,
     to_partition,
 )
+from richgit.oracle import _hook_oracle_entries
 
 G25 = GrassCtx(2, 5)
 
@@ -95,6 +95,15 @@ class TestBoundaryChecks:
                 lambda: BoxedPartition((0.5, 1), G25), GrassError, id="float-part"
             ),
             pytest.param(lambda: BoxedPartition([0, 1], G25), GrassError, id="list-parts"),
+            # arguments of the wrong type, which once raised AttributeError
+            pytest.param(lambda: GrassIndex((1, 3), (2, 5)), GrassError, id="tuple-ctx"),
+            pytest.param(lambda: make_index((1, 3), (2, 5)), GrassError, id="make-tuple-ctx"),
+            pytest.param(
+                lambda: BoxedPartition((0, 1), (2, 5)), GrassError, id="partition-tuple-ctx"
+            ),
+            pytest.param(lambda: RichardsonId((1, 3), (2, 4)), GrassError, id="tuple-pair"),
+            pytest.param(lambda: make_index((1, 3), G25) <= (2, 4), TypeError, id="le-tuple"),
+            pytest.param(lambda: make_index((1, 3), G25) >= (2, 4), TypeError, id="ge-tuple"),
             (
                 lambda: RichardsonId(
                     make_index((1, 2), G25), make_index((3, 5), GrassCtx(2, 7))
@@ -114,6 +123,24 @@ class TestBoundaryChecks:
         # the remaining boundary checks are pinned in test_core/test_diagrams/test_cli
         with pytest.raises(error):
             build()
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: GrassIndex((1, 3), None), "ctx must be a GrassCtx, not NoneType"),
+            (lambda: BoxedPartition((0, 1), (2, 5)), "ctx must be a GrassCtx, not tuple"),
+            (lambda: RichardsonId((1, 3), (2, 4)), "v must be a GrassIndex, not tuple"),
+            (
+                lambda: RichardsonId(make_index((1, 3), G25), [2, 4]),
+                "w must be a GrassIndex, not list",
+            ),
+        ],
+        ids=["index-ctx", "partition-ctx", "pair-v", "pair-w"],
+    )
+    def test_wrong_types_are_named(self, build, message):
+        with pytest.raises(GrassError) as exc:
+            build()
+        assert str(exc.value) == message
 
 
 def check_index(x, ctx):
@@ -203,7 +230,8 @@ class TestTrustedConstructionRandom:
     @given(index_pairs())
     def test_hook_removal_matches_cell_set_oracle(self, pair):
         for x in pair:
-            assert frozenset(schubert_singular_components(x)) == hook_oracle_components(x)
+            formula = {c.entries for c in schubert_singular_components(x)}
+            assert formula == _hook_oracle_entries(x.entries)
 
 
 def reference_validate(entries, ctx):

@@ -24,7 +24,6 @@ from richgit import (
     GrassIndex,
     NotStrictlyIncreasing,
     RichardsonId,
-    SingularComponent,
     analyze,
     census,
     minimal_pair,
@@ -36,7 +35,6 @@ from richgit.core import _index, _richardson
 from richgit.criteria import ComponentReport
 from richgit.diagrams import _partition
 from richgit.oracle import OracleMismatch, PatternMismatch
-from richgit.singular import SCHUBERT_SIDE, _component
 
 G49 = GrassCtx(4, 9)
 V, W = (1, 3, 4, 6), (3, 5, 7, 9)
@@ -123,7 +121,6 @@ def validated(record):
 def trusted_and_validated():
     """(trusted result, validated result) for each trusted constructor."""
     v, w = GrassIndex(V, G49), GrassIndex(W, G49)
-    rid = RichardsonId(v, w)
     rep = analyze((1, 3, 4, 6), (5, 7, 8, 9), G49)
     empty = analyze((1, 2, 6, 7), (3, 6, 7, 9), G49)
     comp = rep.components[0]
@@ -131,10 +128,6 @@ def trusted_and_validated():
         "core._index": (_index(V, G49), GrassIndex(V, G49)),
         "core._richardson": (_richardson(v, w), RichardsonId(v, w)),
         "diagrams._partition": (_partition((0, 1, 1, 2), G49), BoxedPartition((0, 1, 1, 2), G49)),
-        "singular._component": (
-            _component(rid, SCHUBERT_SIDE),
-            SingularComponent(rid, SCHUBERT_SIDE),
-        ),
         # analyze sets each kept component's two records inline
         "criteria.analyze-component": (
             comp,
