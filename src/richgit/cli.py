@@ -206,7 +206,7 @@ def _execute(args: argparse.Namespace) -> tuple[int, str]:
     verify builds no context.  Every other command checks the context
     first, then v, then w, then the pair.  Each command gives its JSON
     object and its text as two callables, and only the one --format
-    names runs.
+    names runs; census --format csv returns its rows directly.
     """
     if args.command != "verify":
         ctx = GrassCtx(args.k, args.n)

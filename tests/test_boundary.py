@@ -128,8 +128,11 @@ class TestBoundaryChecks:
         "build, message",
         [
             (lambda: GrassIndex((1, 3), None), "ctx must be a GrassCtx, not NoneType"),
-            (lambda: BoxedPartition((0, 1), (2, 5)), "ctx must be a GrassCtx, not tuple"),
-            (lambda: RichardsonId((1, 3), (2, 4)), "v must be a GrassIndex, not tuple"),
+            (lambda: BoxedPartition((0, 1), "G(2,5)"), "ctx must be a GrassCtx, not str"),
+            (
+                lambda: RichardsonId(None, make_index((2, 4), G25)),
+                "v must be a GrassIndex, not NoneType",
+            ),
             (
                 lambda: RichardsonId(make_index((1, 3), G25), [2, 4]),
                 "w must be a GrassIndex, not list",
