@@ -17,6 +17,23 @@ from dataclasses import dataclass
 from itertools import combinations
 from operator import le, lt
 
+__all__ = [
+    "ContextMismatch",
+    "EmptyRichardson",
+    "GrassCtx",
+    "GrassError",
+    "GrassIndex",
+    "NotStrictlyIncreasing",
+    "OutOfRange",
+    "RichardsonId",
+    "WrongLength",
+    "enumerate_indices",
+    "indices_above",
+    "indices_below",
+    "length",
+    "make_index",
+]
+
 
 class GrassError(ValueError):
     """Base class for all validation and precondition failures."""
@@ -200,11 +217,15 @@ def _index(entries: tuple[int, ...], ctx: GrassCtx) -> GrassIndex:
 def make_index(values: Sequence[int], ctx: GrassCtx) -> GrassIndex:
     """Validated constructor for I(k,n) elements.
 
-    Raises GrassError for an entry that is not an int (bools included),
-    then WrongLength, NotStrictlyIncreasing or OutOfRange, naming the
-    first offending position.
+    Raises GrassError for values that are not iterable or an entry that
+    is not an int (bools included), then WrongLength, NotStrictlyIncreasing
+    or OutOfRange, naming the first offending position.
     """
-    return GrassIndex(tuple(values), ctx)
+    try:
+        entries = tuple(values)
+    except TypeError:
+        raise GrassError(f"values must be a sequence, not {type(values).__name__}") from None
+    return GrassIndex(entries, ctx)
 
 
 def enumerate_indices(ctx: GrassCtx) -> list[GrassIndex]:

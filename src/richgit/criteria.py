@@ -35,8 +35,21 @@ from .core import (
     _set_w,
     make_index,
 )
-from .singular import OPPOSITE_SIDE, SCHUBERT_SIDE
+from .singular import OPPOSITE_SIDE, SCHUBERT_SIDE, SingularComponent
 from .singular import _opposite_records, _schubert_records
+
+__all__ = [
+    "EMPTY_QUOTIENT",
+    "SINGULAR",
+    "SMOOTH",
+    "AnalysisReport",
+    "ComponentReport",
+    "MinimalPair",
+    "NotCoprime",
+    "analyze",
+    "has_semistable",
+    "minimal_pair",
+]
 
 EMPTY_QUOTIENT = "EMPTY_QUOTIENT"
 SMOOTH = "SMOOTH"
@@ -61,8 +74,16 @@ class MinimalPair:
 
 
 def _require_coprime(ctx: GrassCtx) -> None:
-    """Raise NotCoprime unless gcd(k, n) = 1, before any work that grows with k."""
-    if not ctx.coprime():
+    """Raise NotCoprime unless gcd(k, n) = 1, before any work that grows with k.
+
+    A ctx without coprime() raises GrassError naming its type; from Python
+    3.11 on the try costs a valid ctx one NOP.
+    """
+    try:
+        coprime = ctx.coprime()
+    except AttributeError:
+        raise GrassError(f"ctx must be a GrassCtx, not {type(ctx).__name__}") from None
+    if not coprime:
         raise NotCoprime(f"k={_fmt_int(ctx.k)} and n={_fmt_int(ctx.n)} are not coprime")
 
 
@@ -86,6 +107,10 @@ def minimal_pair(ctx: GrassCtx) -> MinimalPair:
 
 def has_semistable(rid: RichardsonId, mp: MinimalPair) -> bool:
     """True iff X^v_w admits semistable points: v <= v_min and w >= w_min."""
+    if not isinstance(rid, RichardsonId):
+        raise GrassError(f"rid must be a RichardsonId, not {type(rid).__name__}")
+    if not isinstance(mp, MinimalPair):
+        raise GrassError(f"mp must be a MinimalPair, not {type(mp).__name__}")
     if rid.ctx != mp.ctx:
         raise ContextMismatch(
             f"pair is from {_fmt_ctx(rid.ctx)}, minimal pair from {_fmt_ctx(mp.ctx)}"
@@ -111,11 +136,9 @@ def _smooth_by_pattern(rid: RichardsonId, mp: MinimalPair) -> bool:
 
 
 @dataclass(frozen=True, slots=True)
-class ComponentReport:
-    """A singular-locus component together with its semistability flag."""
+class ComponentReport(SingularComponent):
+    """A singular-locus component (pair, source) with its semistability flag."""
 
-    pair: RichardsonId
-    source: str
     has_semistable: bool
 
     def to_dict(self) -> dict:

@@ -20,6 +20,14 @@ from dataclasses import dataclass
 
 from .core import GrassCtx, GrassError, GrassIndex, RichardsonId, _fmt_ctx, _fmt_int, _index
 
+__all__ = [
+    "BoxedPartition",
+    "complement_index",
+    "from_partition",
+    "render_skew",
+    "to_partition",
+]
+
 
 @dataclass(frozen=True, slots=True)
 class BoxedPartition:

@@ -41,6 +41,18 @@ from .criteria import (
 )
 from .singular import _schubert_walk
 
+__all__ = [
+    "CensusReport",
+    "ExampleCheck",
+    "OracleMismatch",
+    "PatternMismatch",
+    "VerifyReport",
+    "census",
+    "default_contexts",
+    "oracle_sweep",
+    "verify",
+]
+
 ERRATUM_NOTES: tuple[str, ...] = (
     "Known typo in the literature: the worked singular locus of X((3,5,7,9)) "
     "in G(4,9) once prints the component (3,4,5,7) in running text; the "

@@ -48,6 +48,15 @@ from operator import le
 
 from .core import GrassIndex, RichardsonId, _index, _richardson, _SideMemo
 
+__all__ = [
+    "OPPOSITE_SIDE",
+    "SCHUBERT_SIDE",
+    "SingularComponent",
+    "opposite_singular_components",
+    "richardson_singular_components",
+    "schubert_singular_components",
+]
+
 SCHUBERT_SIDE = "SCHUBERT_SIDE"
 OPPOSITE_SIDE = "OPPOSITE_SIDE"
 

@@ -16,12 +16,11 @@ disagreement of the shortcut.
 """
 
 import time
-from math import comb, gcd
+from math import comb
 
 from richgit import (
     SINGULAR,
     SMOOTH,
-    GrassCtx,
     RichardsonId,
     analyze,
     census,
@@ -43,7 +42,7 @@ from richgit import (
 from richgit.cli import to_json
 from richgit.oracle import ERRATUM_NOTES
 
-G49 = GrassCtx(4, 9)
+from helpers import G49, all_small_ctxs, coprime_ctxs
 
 
 def check(num, desc, ok, detail=""):
@@ -52,19 +51,6 @@ def check(num, desc, ok, detail=""):
         line += f" -- {detail}"
     print(line)
     assert ok, line
-
-
-def coprime_ctxs(max_n, min_k=1):
-    return [
-        GrassCtx(k, n)
-        for n in range(2, max_n + 1)
-        for k in range(min_k, n)
-        if gcd(k, n) == 1
-    ]
-
-
-def all_ctxs(max_n):
-    return [GrassCtx(k, n) for n in range(2, max_n + 1) for k in range(1, n)]
 
 
 def test_criterion_01_minimal_elements():
@@ -225,14 +211,14 @@ def test_criterion_07_criterion_equivalence():
 
 def test_criterion_08_oracle_equivalence():
     mismatches = []
-    for ctx in all_ctxs(9):
+    for ctx in all_small_ctxs(9):
         mismatches.extend(oracle_sweep(ctx))
     ok = mismatches == []
     check(8, "hook-removal formula matches cell-set hook oracle, n <= 9", ok, str(mismatches[:3]))
 
 
 def test_criterion_09a_bruhat_partial_order():
-    for ctx in all_ctxs(9):
+    for ctx in all_small_ctxs(9):
         elems = enumerate_indices(ctx)
         ups = {a: frozenset(b for b in elems if a <= b) for a in elems}
         for a in elems:
@@ -245,7 +231,7 @@ def test_criterion_09a_bruhat_partial_order():
 
 
 def test_criterion_09b_complement_involution_antiisomorphism():
-    for ctx in all_ctxs(9):
+    for ctx in all_small_ctxs(9):
         elems = enumerate_indices(ctx)
         comp = {a: complement_index(a) for a in elems}
         for a in elems:
@@ -256,14 +242,14 @@ def test_criterion_09b_complement_involution_antiisomorphism():
 
 
 def test_criterion_09c_partition_bijection():
-    for ctx in all_ctxs(9):
+    for ctx in all_small_ctxs(9):
         for w in enumerate_indices(ctx):
             assert from_partition(to_partition(w)) == w
     check("9c", "index/partition conversion is a bijection, n <= 9", True)
 
 
 def test_criterion_09d_index_counts():
-    for ctx in all_ctxs(9):
+    for ctx in all_small_ctxs(9):
         assert len(enumerate_indices(ctx)) == comb(ctx.n, ctx.k)
     check("9d", "|I(k,n)| = C(n,k), n <= 9", True)
 

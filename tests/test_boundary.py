@@ -26,6 +26,7 @@ from richgit import (
     RichardsonId,
     WrongLength,
     analyze,
+    census,
     complement_index,
     enumerate_indices,
     from_partition,
@@ -38,6 +39,7 @@ from richgit import (
     richardson_singular_components,
     schubert_singular_components,
     to_partition,
+    verify,
 )
 from richgit.oracle import _hook_oracle_entries
 
@@ -137,8 +139,27 @@ class TestBoundaryChecks:
                 lambda: RichardsonId(make_index((1, 3), G25), [2, 4]),
                 "w must be a GrassIndex, not list",
             ),
+            # these once leaked AttributeError or TypeError
+            (lambda: analyze((1, 3), (3, 5), (2, 5)), "ctx must be a GrassCtx, not tuple"),
+            (lambda: census((2, 5)), "ctx must be a GrassCtx, not tuple"),
+            (lambda: minimal_pair((2, 5)), "ctx must be a GrassCtx, not tuple"),
+            (lambda: verify([(2, 5)]), "ctx must be a GrassCtx, not tuple"),
+            (lambda: make_index(5, G25), "values must be a sequence, not int"),
+            (lambda: analyze(5, (3, 5), G25), "values must be a sequence, not int"),
+            (
+                lambda: has_semistable((1, 3), minimal_pair(G25)),
+                "rid must be a RichardsonId, not tuple",
+            ),
+            (
+                lambda: has_semistable(
+                    RichardsonId(make_index((1, 2), G25), make_index((3, 5), G25)), (2, 5)
+                ),
+                "mp must be a MinimalPair, not tuple",
+            ),
         ],
-        ids=["index-ctx", "partition-ctx", "pair-v", "pair-w"],
+        ids=["index-ctx", "partition-ctx", "pair-v", "pair-w", "analyze-ctx", "census-ctx",
+             "minimal-pair-ctx", "verify-ctx", "make-index-values", "analyze-v",
+             "has-semistable-rid", "has-semistable-mp"],
     )
     def test_wrong_types_are_named(self, build, message):
         with pytest.raises(GrassError) as exc:

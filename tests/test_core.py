@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import importlib
 import io
 import math
 import re
@@ -25,15 +26,7 @@ from richgit import (
 )
 from richgit.core import _fmt_ctx, _fmt_int
 
-G49 = GrassCtx(4, 9)
-
-
-def idx(values, ctx=G49):
-    return make_index(values, ctx)
-
-
-def all_small_ctxs(max_n):
-    return [GrassCtx(k, n) for n in range(2, max_n + 1) for k in range(1, n)]
+from helpers import G49, all_small_ctxs, idx
 
 
 class TestGrassCtx:
@@ -239,21 +232,28 @@ class TestIntervals:
         assert [a.entries for a in indices_above(make_index(high, ctx))] == [high]
 
 
+MODULES = ("core", "criteria", "diagrams", "oracle", "singular")
+
+
 class TestPublicSurface:
-    def test_all_matches_imports(self):
-        exported = richgit.__all__
-        assert len(exported) == len(set(exported))
-        for name in exported:
-            assert hasattr(richgit, name), name
-        tree = ast.parse(open(richgit.__file__, encoding="utf-8").read())
-        imported = {
-            alias.asname or alias.name
-            for node in tree.body
-            if isinstance(node, ast.ImportFrom)
-            for alias in node.names
-        }
-        public = {name for name in imported if not name.startswith("_")}
-        assert public - set(exported) == set()
+    def test_all_joins_the_module_lists(self):
+        tree = ast.parse(Path(richgit.__file__).read_text(encoding="utf-8"))
+        imports = [
+            (node.level, node.module, [alias.name for alias in node.names])
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+        ]
+        assert imports == [(1, name, ["*"]) for name in MODULES]
+        modules = [importlib.import_module(f"richgit.{name}") for name in MODULES]
+        joined = [name for module in modules for name in module.__all__]
+        assert richgit.__all__ == joined
+        assert len(joined) == len(set(joined))
+        for module in modules:
+            for name in module.__all__:
+                obj = getattr(richgit, name)
+                assert obj is getattr(module, name), name
+                if callable(obj):
+                    assert obj.__module__ == module.__name__, name
 
     def test_all_is_the_reviewed_surface(self):
         # the 44 names of the last export review (ROADMAP item 7); adding or

@@ -32,25 +32,13 @@ from richgit import (
 )
 from richgit.cli import main
 
-G49 = GrassCtx(4, 9)
+from helpers import G49, coprime_ctxs, idx
+
 G25 = GrassCtx(2, 5)
-
-
-def idx(values, ctx=G49):
-    return make_index(values, ctx)
 
 
 def rid(v, w, ctx=G49):
     return RichardsonId(make_index(v, ctx), make_index(w, ctx))
-
-
-def coprime_ctxs(max_n, min_k=1):
-    return [
-        GrassCtx(k, n)
-        for n in range(2, max_n + 1)
-        for k in range(min_k, n)
-        if gcd(k, n) == 1
-    ]
 
 
 class TestMinimalPair:

@@ -1,39 +1,25 @@
-from itertools import combinations_with_replacement, groupby
+from itertools import combinations_with_replacement
 
 import pytest
 
 from richgit import (
     BoxedPartition,
-    GrassCtx,
     GrassError,
     RichardsonId,
     complement_index,
     enumerate_indices,
     from_partition,
     length,
-    make_index,
     render_skew,
     schubert_singular_components,
     to_partition,
 )
 
-G49 = GrassCtx(4, 9)
-
-
-def idx(values, ctx=G49):
-    return make_index(values, ctx)
+from helpers import G49, all_small_ctxs, idx, runs
 
 
 def part(values, ctx=G49):
     return BoxedPartition(tuple(values), ctx)
-
-
-def all_small_ctxs(max_n):
-    return [GrassCtx(k, n) for n in range(2, max_n + 1) for k in range(1, n)]
-
-
-def runs(p):
-    return [(value, len(list(g))) for value, g in groupby(x for x in p.parts if x)]
 
 
 def valleys(p):

@@ -14,11 +14,8 @@ so the census mismatch set is M_v x {w : A(w)} with M_v = {v : P(v) != B(v)}.
 A and B are defined here from the public component functions only.
 """
 
-from math import gcd
-
 from richgit import (
     SMOOTH,
-    GrassCtx,
     analyze,
     complement_index,
     indices_above,
@@ -28,14 +25,7 @@ from richgit import (
     schubert_singular_components,
 )
 
-
-def coprime_ctxs(max_n):
-    return [
-        GrassCtx(k, n)
-        for n in range(2, max_n + 1)
-        for k in range(1, n)
-        if gcd(k, n) == 1
-    ]
+from helpers import coprime_ctxs
 
 
 def A(w, mp):

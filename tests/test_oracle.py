@@ -36,11 +36,7 @@ from richgit.oracle import (
     admissible_reports,
 )
 
-G49 = GrassCtx(4, 9)
-
-
-def idx(values, ctx=G49):
-    return make_index(values, ctx)
+from helpers import G49, idx
 
 
 def refuse(*args):

@@ -24,6 +24,7 @@ from richgit import (
     GrassIndex,
     NotStrictlyIncreasing,
     RichardsonId,
+    SingularComponent,
     analyze,
     census,
     minimal_pair,
@@ -36,7 +37,8 @@ from richgit.criteria import ComponentReport
 from richgit.diagrams import _partition
 from richgit.oracle import OracleMismatch, PatternMismatch
 
-G49 = GrassCtx(4, 9)
+from helpers import G49
+
 V, W = (1, 3, 4, 6), (3, 5, 7, 9)
 
 
@@ -81,6 +83,13 @@ SAMPLES = samples()
 
 def test_every_record_class_has_a_sample():
     assert set(record_classes().values()) == {type(s) for s in SAMPLES}
+
+
+def test_component_report_extends_singular_component():
+    assert issubclass(ComponentReport, SingularComponent)
+    assert [f.name for f in dataclasses.fields(ComponentReport)] == [
+        "pair", "source", "has_semistable"
+    ]
 
 
 @pytest.mark.parametrize("record", SAMPLES, ids=lambda r: type(r).__name__)

@@ -6,7 +6,7 @@ import pickle
 import pkgutil
 import random
 import tracemalloc
-from itertools import combinations, groupby
+from itertools import combinations
 
 import pytest
 
@@ -40,23 +40,11 @@ from richgit.singular import (
     _schubert_walk,
 )
 
-G49 = GrassCtx(4, 9)
-
-
-def idx(values, ctx=G49):
-    return make_index(values, ctx)
-
-
-def all_small_ctxs(max_n):
-    return [GrassCtx(k, n) for n in range(2, max_n + 1) for k in range(1, n)]
+from helpers import G49, all_small_ctxs, idx, runs
 
 
 def entry_set(components):
     return {c.entries for c in components}
-
-
-def runs(p):
-    return [(value, len(list(g))) for value, g in groupby(x for x in p.parts if x)]
 
 
 def run_length_substitutions(p):
