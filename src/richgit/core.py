@@ -80,6 +80,16 @@ def _fmt_ctx(ctx: "GrassCtx") -> str:
     return f"G({_fmt_int(ctx.k)},{_fmt_int(ctx.n)})"
 
 
+def _require_type(name: str, value: object, cls: type) -> None:
+    """Raise GrassError unless value is a cls, naming the argument and the type it got.
+
+    Every refusal of a wrong-typed record argument goes through here, so
+    every entry point follows one isinstance policy and none duck-types.
+    """
+    if not isinstance(value, cls):
+        raise GrassError(f"{name} must be a {cls.__name__}, not {type(value).__name__}")
+
+
 @dataclass(frozen=True, slots=True)
 class GrassCtx:
     """The ambient pair (k, n) with 1 <= k < n."""
@@ -146,23 +156,20 @@ class GrassIndex(_SideMemo):
         entries, ctx = self.entries, self.ctx
         # Fast path: a valid index passes these C-level checks without a
         # Python loop (type() is exact, so a bool fails {int}).  Anything
-        # else takes the loops below, which raise for the first failing
-        # check.  Tuple entries always reach ctx.k, so a ctx without k or n
-        # is refused here; from Python 3.11 on the try is one NOP.
-        try:
-            if (
-                type(entries) is tuple
-                and len(entries) == ctx.k
-                and set(map(type, entries)) == {int}
-                and 1 <= entries[0]
-                and entries[-1] <= ctx.n
-                and all(map(lt, entries, entries[1:]))
-            ):
-                return
-        except AttributeError:
-            raise GrassError(f"ctx must be a GrassCtx, not {type(ctx).__name__}") from None
+        # else takes the checks below, which raise for the first failing one.
+        if (
+            type(entries) is tuple
+            and isinstance(ctx, GrassCtx)
+            and len(entries) == ctx.k
+            and set(map(type, entries)) == {int}
+            and 1 <= entries[0]
+            and entries[-1] <= ctx.n
+            and all(map(lt, entries, entries[1:]))
+        ):
+            return
         if type(self.entries) is not tuple:
             raise GrassError(f"entries must be a tuple, not {type(self.entries).__name__}")
+        _require_type("ctx", ctx, GrassCtx)
         for pos, e in enumerate(self.entries, start=1):
             if type(e) is not int:
                 raise GrassError(f"entry {e!r} at position {pos} is not an integer")
@@ -247,9 +254,8 @@ class RichardsonId:
     w: GrassIndex
 
     def __post_init__(self) -> None:
-        for name, x in (("v", self.v), ("w", self.w)):
-            if not isinstance(x, GrassIndex):
-                raise GrassError(f"{name} must be a GrassIndex, not {type(x).__name__}")
+        _require_type("v", self.v, GrassIndex)
+        _require_type("w", self.w, GrassIndex)
         if self.v.ctx is not self.w.ctx and self.v.ctx != self.w.ctx:
             raise ContextMismatch(
                 f"v is from {_fmt_ctx(self.v.ctx)} but w is from {_fmt_ctx(self.w.ctx)}"

@@ -31,6 +31,7 @@ from .core import (
     _fmt_ctx,
     _fmt_int,
     _index,
+    _require_type,
     _set_v,
     _set_w,
     make_index,
@@ -76,14 +77,10 @@ class MinimalPair:
 def _require_coprime(ctx: GrassCtx) -> None:
     """Raise NotCoprime unless gcd(k, n) = 1, before any work that grows with k.
 
-    A ctx without coprime() raises GrassError naming its type; from Python
-    3.11 on the try costs a valid ctx one NOP.
+    A ctx that is not a GrassCtx raises GrassError naming its type.
     """
-    try:
-        coprime = ctx.coprime()
-    except AttributeError:
-        raise GrassError(f"ctx must be a GrassCtx, not {type(ctx).__name__}") from None
-    if not coprime:
+    _require_type("ctx", ctx, GrassCtx)
+    if not ctx.coprime():
         raise NotCoprime(f"k={_fmt_int(ctx.k)} and n={_fmt_int(ctx.n)} are not coprime")
 
 
@@ -92,10 +89,19 @@ def _require_coprime(ctx: GrassCtx) -> None:
 CACHE_SIZE = 2**16
 
 
-@lru_cache(maxsize=CACHE_SIZE)
 def minimal_pair(ctx: GrassCtx) -> MinimalPair:
-    """Compute (w_min, v_min) for a coprime context; raises NotCoprime otherwise."""
+    """Compute (w_min, v_min) for a coprime context; raises NotCoprime otherwise.
+
+    ctx is checked before the cache hashes it, so a ctx that is not a
+    GrassCtx raises GrassError naming its type.
+    """
     _require_coprime(ctx)
+    return _minimal_pair(ctx)
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _minimal_pair(ctx: GrassCtx) -> MinimalPair:
+    """minimal_pair for a ctx that _require_coprime has passed."""
     k, n = ctx.k, ctx.n
     a = tuple((i * n + k - 1) // k for i in range(1, k + 1))
     w_min = make_index(a, ctx)
@@ -107,10 +113,8 @@ def minimal_pair(ctx: GrassCtx) -> MinimalPair:
 
 def has_semistable(rid: RichardsonId, mp: MinimalPair) -> bool:
     """True iff X^v_w admits semistable points: v <= v_min and w >= w_min."""
-    if not isinstance(rid, RichardsonId):
-        raise GrassError(f"rid must be a RichardsonId, not {type(rid).__name__}")
-    if not isinstance(mp, MinimalPair):
-        raise GrassError(f"mp must be a MinimalPair, not {type(mp).__name__}")
+    _require_type("rid", rid, RichardsonId)
+    _require_type("mp", mp, MinimalPair)
     if rid.ctx != mp.ctx:
         raise ContextMismatch(
             f"pair is from {_fmt_ctx(rid.ctx)}, minimal pair from {_fmt_ctx(mp.ctx)}"
@@ -273,7 +277,7 @@ def analyze(
     rid = _new(RichardsonId)
     _set_v(rid, vi)
     _set_w(rid, wi)
-    mp = minimal_pair(ctx)
+    mp = _minimal_pair(ctx)
 
     v_min, a = mp.v_min.entries, mp.a
     ss = all(map(le, ve, v_min)) and all(map(le, a, we))

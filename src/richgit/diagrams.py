@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import GrassCtx, GrassError, GrassIndex, RichardsonId, _fmt_ctx, _fmt_int, _index
+from .core import _require_type
 
 __all__ = [
     "BoxedPartition",
@@ -42,8 +43,7 @@ class BoxedPartition:
         for i, p in enumerate(self.parts, start=1):
             if type(p) is not int:
                 raise GrassError(f"row {i} has {p!r} boxes, not an integer")
-        if not isinstance(self.ctx, GrassCtx):
-            raise GrassError(f"ctx must be a GrassCtx, not {type(self.ctx).__name__}")
+        _require_type("ctx", self.ctx, GrassCtx)
         k, width = self.ctx.k, self.ctx.n - self.ctx.k
         if len(self.parts) != k:
             raise GrassError(

@@ -35,9 +35,9 @@ from .criteria import (
     SINGULAR,
     SMOOTH,
     AnalysisReport,
+    _minimal_pair,
     _require_coprime,
     analyze,
-    minimal_pair,
 )
 from .singular import _schubert_walk
 
@@ -244,7 +244,7 @@ def admissible_reports(ctx: GrassCtx) -> Iterator[AnalysisReport]:
     raises.
     """
     _check_pairs(ctx)
-    mp = minimal_pair(ctx)
+    mp = _minimal_pair(ctx)
     ws = indices_above(mp.w_min)
     for v in indices_below(mp.v_min):
         for w in ws:
@@ -368,12 +368,15 @@ def verify(ctxs: list[GrassCtx] | None = None) -> VerifyReport:
 
     Deterministic: identical inputs produce identical reports.  passed is
     False as soon as any census records a mismatch of either kind or any
-    reference verdict fails to reproduce.  Every context passes census's
-    checks before the first census runs, so a refused context costs no
-    work on the others.
+    reference verdict fails to reproduce.  ctxs may be any iterable, and
+    it is read once; one that is not iterable raises GrassError naming it.
+    Every context passes census's checks before the first census runs, so
+    a refused context costs no work on the others.
     """
-    if ctxs is None:
-        ctxs = default_contexts()
+    try:
+        ctxs = default_contexts() if ctxs is None else list(ctxs)
+    except TypeError:
+        raise GrassError(f"ctxs must be an iterable, not {type(ctxs).__name__}") from None
     for c in ctxs:
         _check_census(c)
     censuses = tuple(census(c) for c in ctxs)

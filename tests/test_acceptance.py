@@ -40,6 +40,7 @@ from richgit import (
     verify,
 )
 from richgit.cli import to_json
+from richgit.criteria import _minimal_pair
 from richgit.oracle import ERRATUM_NOTES
 
 from helpers import G49, all_small_ctxs, coprime_ctxs
@@ -54,7 +55,7 @@ def check(num, desc, ok, detail=""):
 
 
 def test_criterion_01_minimal_elements():
-    minimal_pair.cache_clear()
+    _minimal_pair.cache_clear()
     t0 = time.perf_counter()
     mp = minimal_pair(G49)
     elapsed = time.perf_counter() - t0

@@ -8,6 +8,7 @@ without a second check, so every derived value must be one that the
 checks accept.  Both halves are pinned here.
 """
 
+from collections import namedtuple
 from itertools import combinations
 from math import gcd
 
@@ -44,6 +45,17 @@ from richgit import (
 from richgit.oracle import _hook_oracle_entries
 
 G25 = GrassCtx(2, 5)
+
+
+class DuckCtx(namedtuple("DuckCtx", "k n")):
+    """Has everything a GrassCtx is read for, but is not one."""
+
+    def coprime(self):
+        return gcd(self.k, self.n) == 1
+
+
+DUCK = DuckCtx(2, 5)
+NOT_A_CTX = "ctx must be a GrassCtx, not DuckCtx"
 
 
 class TestBoundaryChecks:
@@ -156,15 +168,37 @@ class TestBoundaryChecks:
                 ),
                 "mp must be a MinimalPair, not tuple",
             ),
+            # an unhashable ctx once failed inside minimal_pair's cache
+            (lambda: minimal_pair([2, 5]), "ctx must be a GrassCtx, not list"),
+            # a duck-typed context once passed every entry point but BoxedPartition
+            (lambda: GrassIndex((1, 3), DUCK), NOT_A_CTX),
+            (lambda: make_index((1, 3), DUCK), NOT_A_CTX),
+            (lambda: analyze((1, 3), (3, 5), DUCK), NOT_A_CTX),
+            (lambda: minimal_pair(DUCK), NOT_A_CTX),
+            (lambda: census(DUCK), NOT_A_CTX),
+            (lambda: verify([DUCK]), NOT_A_CTX),
+            # a generator was once used up by verify's checks before any census
+            (lambda: verify(c for c in [DUCK]), NOT_A_CTX),
+            (lambda: verify(G25), "ctxs must be an iterable, not GrassCtx"),
         ],
         ids=["index-ctx", "partition-ctx", "pair-v", "pair-w", "analyze-ctx", "census-ctx",
              "minimal-pair-ctx", "verify-ctx", "make-index-values", "analyze-v",
-             "has-semistable-rid", "has-semistable-mp"],
+             "has-semistable-rid", "has-semistable-mp", "minimal-pair-list-ctx",
+             "index-duck-ctx", "make-index-duck-ctx", "analyze-duck-ctx",
+             "minimal-pair-duck-ctx", "census-duck-ctx", "verify-duck-ctx",
+             "verify-generator-duck-ctx", "verify-one-ctx"],
     )
     def test_wrong_types_are_named(self, build, message):
         with pytest.raises(GrassError) as exc:
             build()
         assert str(exc.value) == message
+
+    def test_verify_reads_a_generator_once(self):
+        # the checks once used up a generator, leaving no census and passed=True
+        ctxs = [GrassCtx(2, 5), GrassCtx(3, 8)]
+        rep = verify(c for c in ctxs)
+        assert rep.to_dict() == verify(ctxs).to_dict()
+        assert len(rep.censuses) == 2 and not rep.passed
 
 
 def check_index(x, ctx):

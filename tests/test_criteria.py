@@ -241,11 +241,12 @@ class TestAnalyze:
             analyze((1, 2, 3, 4), (3, 4, 5, 6), GrassCtx(4, 6))
 
     def test_refuses_before_building_the_minimal_pair(self, monkeypatch, capsys):
-        # minimal_pair builds three k-entry tuples; a refusal must not wait for them
+        # _minimal_pair, minimal_pair's cached builder, builds three k-entry
+        # tuples; a refusal must not wait for them
         def refuse(ctx):
-            raise AssertionError("minimal_pair ran before analyze's checks")
+            raise AssertionError("_minimal_pair ran before analyze's checks")
 
-        monkeypatch.setattr(richgit.criteria, "minimal_pair", refuse)
+        monkeypatch.setattr(richgit.criteria, "_minimal_pair", refuse)
         huge = GrassCtx(1000000, 1000001)
         wrong_length = "expected 1000000 entries for G(1000000,1000001), got 2"
         cases = [

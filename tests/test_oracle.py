@@ -343,9 +343,10 @@ class TestCensus:
         assert rep.pair.v.entries == tuple(range(1, 8))
 
     def test_refusals_build_no_minimal_pair(self, monkeypatch, capsys):
-        # minimal_pair builds three k-entry tuples; a refusal must not wait for them
-        monkeypatch.setattr(richgit.oracle, "minimal_pair", refuse)
-        monkeypatch.setattr(richgit.criteria, "minimal_pair", refuse)
+        # _minimal_pair, minimal_pair's cached builder, builds three k-entry
+        # tuples; a refusal must not wait for them
+        monkeypatch.setattr(richgit.oracle, "_minimal_pair", refuse)
+        monkeypatch.setattr(richgit.criteria, "_minimal_pair", refuse)
         for check in (_check_pairs, _check_census, census, lambda c: verify([c])):
             with pytest.raises(NotCoprime, match=r"^k=4 and n=8 are not coprime$"):
                 check(GrassCtx(4, 8))

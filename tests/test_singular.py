@@ -240,7 +240,7 @@ class TestRichardsonComponents:
 # Every lru_cache of richgit, by the public function it serves.  The valley
 # walks of an index are memoized on the index, not in a global cache.
 CACHE_BEHIND = {
-    "minimal_pair": "richgit.criteria.minimal_pair",
+    "minimal_pair": "richgit.criteria._minimal_pair",
 }
 
 
