@@ -4,9 +4,10 @@ Everything here is pure combinatorics on strictly increasing integer
 tuples.  An element of I(k,n) stands for a Schubert class / torus-fixed
 point of G(k,n); the componentwise partial order on these tuples is the
 Bruhat order.  All values are immutable and all functions are pure.  The
-one write after construction is the side memo of a GrassIndex (see
-_SideMemo), and it is idempotent: two threads that fill the same slot
-store equal records, so concurrent use needs no synchronization.
+one write after construction is a memo: the side memo of a GrassIndex
+(see _SideMemo) or the minimal-pair memo of a GrassCtx (see _PairMemo).
+Each is idempotent: two threads that fill the same slot store equal
+values, so concurrent use needs no synchronization.
 """
 
 from __future__ import annotations
@@ -90,8 +91,23 @@ def _require_type(name: str, value: object, cls: type) -> None:
         raise GrassError(f"{name} must be a {cls.__name__}, not {type(value).__name__}")
 
 
+class _PairMemo:
+    """One slot, not a dataclass field, that memoizes the minimal pair of a context.
+
+    criteria._minimal_pair fills _minimal the first time it reads a coprime
+    context (through the slot descriptor, as _SideMemo's are filled) and
+    reads it back on every later call.  The pair points back at its
+    context, so the two form a cycle that the garbage collector frees once
+    the caller drops the context: no global cache holds either.
+    Equality, hashing, repr, copying, pickling and dataclasses.replace see
+    the fields only: a copy starts with an empty memo.
+    """
+
+    __slots__ = ("_minimal",)
+
+
 @dataclass(frozen=True, slots=True)
-class GrassCtx:
+class GrassCtx(_PairMemo):
     """The ambient pair (k, n) with 1 <= k < n."""
 
     k: int

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import lru_cache
 from operator import le
 
 from .core import (
@@ -28,6 +27,7 @@ from .core import (
     GrassError,
     GrassIndex,
     RichardsonId,
+    _PairMemo,
     _fmt_ctx,
     _fmt_int,
     _index,
@@ -84,31 +84,36 @@ def _require_coprime(ctx: GrassCtx) -> None:
         raise NotCoprime(f"k={_fmt_int(ctx.k)} and n={_fmt_int(ctx.n)} are not coprime")
 
 
-# Entries kept by the one lru cache of the library, minimal_pair's: one per
-# context, so a default verify fills 45.
-CACHE_SIZE = 2**16
-
-
 def minimal_pair(ctx: GrassCtx) -> MinimalPair:
     """Compute (w_min, v_min) for a coprime context; raises NotCoprime otherwise.
 
-    ctx is checked before the cache hashes it, so a ctx that is not a
-    GrassCtx raises GrassError naming its type.
+    A ctx that is not a GrassCtx raises GrassError naming its type.
     """
     _require_coprime(ctx)
     return _minimal_pair(ctx)
 
 
-@lru_cache(maxsize=CACHE_SIZE)
+_set_minimal = _PairMemo._minimal.__set__
+
+
 def _minimal_pair(ctx: GrassCtx) -> MinimalPair:
-    """minimal_pair for a ctx that _require_coprime has passed."""
-    k, n = ctx.k, ctx.n
-    a = tuple((i * n + k - 1) // k for i in range(1, k + 1))
-    w_min = make_index(a, ctx)
-    v_min = make_index((1,) + a[:-1], ctx)
-    if not v_min <= w_min:
-        raise GrassError(f"internal: v_min={v_min} not below w_min={w_min}")
-    return MinimalPair(ctx=ctx, w_min=w_min, v_min=v_min, a=a)
+    """minimal_pair for a ctx that _require_coprime has passed, kept in ctx's memo.
+
+    Both indices are built trusted: as 1 <= k < n, a_i = ceil(i*n/k) has
+    a_1 >= 2, a_k = n and a_{i+1} >= a_i + 1 (n/k > 1), so a and
+    (1, a_1, ..., a_{k-1}) are strictly increasing k-tuples in [1, n].
+    """
+    mp = getattr(ctx, "_minimal", None)
+    if mp is None:
+        k, n = ctx.k, ctx.n
+        a = tuple((i * n + k - 1) // k for i in range(1, k + 1))
+        w_min = _index(a, ctx)
+        v_min = _index((1,) + a[:-1], ctx)
+        if not v_min <= w_min:
+            raise GrassError(f"internal: v_min={v_min} not below w_min={w_min}")
+        mp = MinimalPair(ctx=ctx, w_min=w_min, v_min=v_min, a=a)
+        _set_minimal(ctx, mp)
+    return mp
 
 
 def has_semistable(rid: RichardsonId, mp: MinimalPair) -> bool:

@@ -21,6 +21,7 @@ from math import comb
 from richgit import (
     SINGULAR,
     SMOOTH,
+    GrassCtx,
     RichardsonId,
     analyze,
     census,
@@ -40,7 +41,6 @@ from richgit import (
     verify,
 )
 from richgit.cli import to_json
-from richgit.criteria import _minimal_pair
 from richgit.oracle import ERRATUM_NOTES
 
 from helpers import G49, all_small_ctxs, coprime_ctxs
@@ -55,9 +55,9 @@ def check(num, desc, ok, detail=""):
 
 
 def test_criterion_01_minimal_elements():
-    _minimal_pair.cache_clear()
+    ctx = GrassCtx(4, 9)  # a fresh context: its minimal-pair memo is empty
     t0 = time.perf_counter()
-    mp = minimal_pair(G49)
+    mp = minimal_pair(ctx)
     elapsed = time.perf_counter() - t0
     ok = (
         mp.w_min.entries == (3, 5, 7, 9)

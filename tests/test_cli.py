@@ -652,21 +652,28 @@ def test_tracer_output_matches_untraced(capsys, tmp_path):
     # perfbench/trace_child.py patches GrassIndex.__post_init__/__le__ by name
     # and wraps the public functions; a rename would break the traced run
     root = Path(__file__).parent.parent
-    argv = ["census", "-k", "3", "-n", "8", "--format", "json"]
-    code, out, _ = run_cli(capsys, *argv)
-    traced = subprocess.run(
-        [sys.executable, str(root / "perfbench" / "trace_child.py"), str(tmp_path / "trace"), "cli", *argv],
-        env={**os.environ, "PYTHONPATH": str(root / "src")},
-        capture_output=True,
-        timeout=300,
-    )
-    assert code == 0
-    assert traced.returncode == 0, traced.stderr.decode()
-    assert traced.stdout == out.encode("utf-8")
-    meta = json.loads((tmp_path / "trace.json").read_text())
-    counts = meta["counts"]
-    assert counts["core.index_validations"] > 0
-    assert counts["core.bruhat_cmp"] > 0
+
+    def traced(*argv):
+        code, out, _ = run_cli(capsys, *argv)
+        proc = subprocess.run(
+            [sys.executable, str(root / "perfbench" / "trace_child.py"), str(tmp_path / "trace"), "cli", *argv],
+            env={**os.environ, "PYTHONPATH": str(root / "src")},
+            capture_output=True,
+            timeout=300,
+        )
+        assert code == 0
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert proc.stdout == out.encode("utf-8")
+        return json.loads((tmp_path / "trace.json").read_text())
+
+    # the CLI validates the two tuples it parses
+    meta = traced("analyze", "-k", "4", "-n", "9", "--v", "1,3,4,6", "--w", "3,5,7,9")
+    assert meta["counts"]["core.index_validations"] == 2
+    # a census validates no index: it derives every one from the minimal
+    # pair, which is built trusted
+    meta = traced("census", "-k", "3", "-n", "8", "--format", "json")
+    assert meta["counts"]["core.index_validations"] == 0
+    assert meta["counts"]["core.bruhat_cmp"] > 0
     # analyze reads the private side records, which the tracer does not
     # wrap: no public singular function runs under an analyze span, and
     # the public Richardson listing is never called

@@ -1,7 +1,12 @@
+import copy
+import dataclasses
+import gc
 import hashlib
 import json
+import pickle
 import random
 import re
+import tracemalloc
 from math import gcd
 
 import pytest
@@ -16,6 +21,7 @@ from richgit import (
     ContextMismatch,
     EmptyRichardson,
     GrassCtx,
+    GrassIndex,
     NotCoprime,
     OutOfRange,
     RichardsonId,
@@ -64,12 +70,17 @@ class TestMinimalPair:
             minimal_pair(GrassCtx(4, 6))
 
     def test_a_sequence_properties(self):
-        for ctx in coprime_ctxs(12):
+        for ctx in coprime_ctxs(40):
             mp = minimal_pair(ctx)
             k, n = ctx.k, ctx.n
             for i, a in enumerate(mp.a, start=1):
                 assert a * k >= i * n > (a - 1) * k  # smallest such integer
             assert mp.a[-1] == n
+            assert mp.w_min.entries == mp.a
+            # both indices are built trusted; the validating constructor
+            # accepts their entries
+            for u in (mp.w_min, mp.v_min):
+                assert GrassIndex(u.entries, ctx) == u
             assert mp.v_min <= mp.w_min  # hypothesis subsumption
 
     def test_complement_of_v_min_is_w_min(self):
@@ -85,6 +96,67 @@ class TestMinimalPair:
             a = (1,) + mp.a
             gaps_ok = all(a[i] >= a[i - 1] + 2 for i in range(1, len(a)))
             assert gaps_ok == (ctx.n > 2 * ctx.k), ctx
+
+
+def pair_memo(ctx):
+    """The minimal-pair memo slot of ctx, None while unfilled."""
+    return getattr(ctx, "_minimal", None)
+
+
+class TestPairMemo:
+    def test_memo_slot_is_not_a_field(self):
+        assert [f.name for f in dataclasses.fields(GrassCtx)] == ["k", "n"]
+        ctx = GrassCtx(2, 5)
+        assert pair_memo(ctx) is None
+        # CPython 3.10-3.13 raise TypeError, not FrozenInstanceError, for a
+        # name that is not a field of a frozen slotted dataclass
+        with pytest.raises((AttributeError, TypeError)):
+            ctx._minimal = None
+        assert pair_memo(ctx) is None
+
+    def test_pair_is_built_once_per_context_object(self):
+        ctx = GrassCtx(4, 9)
+        mp = minimal_pair(ctx)
+        assert pair_memo(ctx) is mp and minimal_pair(ctx) is mp
+        # analyze reads the same memo, and fills it on a fresh context
+        fresh = GrassCtx(4, 9)
+        analyze((1, 3, 4, 6), (3, 5, 7, 9), fresh)
+        assert pair_memo(fresh) == mp and pair_memo(fresh) is not mp
+        assert minimal_pair(fresh) is pair_memo(fresh)
+
+    def test_filled_memo_is_invisible(self):
+        filled = GrassCtx(4, 9)
+        mp = minimal_pair(filled)
+        fresh = GrassCtx(4, 9)
+        assert pair_memo(fresh) is None
+        assert filled == fresh and hash(filled) == hash(fresh)
+        assert repr(filled) == repr(fresh)
+        clones = (
+            copy.copy(filled),
+            copy.deepcopy(filled),
+            pickle.loads(pickle.dumps(filled)),
+            dataclasses.replace(filled),
+        )
+        for clone in clones:
+            assert clone == filled and pair_memo(clone) is None
+            again = minimal_pair(clone)
+            assert again == mp and again is not mp
+
+    def test_dropped_context_retains_nothing(self):
+        # the pair points back at its context, so the two form a cycle that
+        # only a collection frees.  A global cache would keep both: about
+        # 460 KiB for this context.
+        gc.collect()
+        tracemalloc.start()
+        try:
+            ctx = GrassCtx(10000, 10001)
+            assert len(minimal_pair(ctx).a) == 10000
+            del ctx
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert retained < 1024
 
 
 class TestHasSemistable:
@@ -241,7 +313,7 @@ class TestAnalyze:
             analyze((1, 2, 3, 4), (3, 4, 5, 6), GrassCtx(4, 6))
 
     def test_refuses_before_building_the_minimal_pair(self, monkeypatch, capsys):
-        # _minimal_pair, minimal_pair's cached builder, builds three k-entry
+        # _minimal_pair, minimal_pair's builder, builds three k-entry
         # tuples; a refusal must not wait for them
         def refuse(ctx):
             raise AssertionError("_minimal_pair ran before analyze's checks")

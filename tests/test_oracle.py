@@ -343,7 +343,7 @@ class TestCensus:
         assert rep.pair.v.entries == tuple(range(1, 8))
 
     def test_refusals_build_no_minimal_pair(self, monkeypatch, capsys):
-        # _minimal_pair, minimal_pair's cached builder, builds three k-entry
+        # _minimal_pair, minimal_pair's builder, builds three k-entry
         # tuples; a refusal must not wait for them
         monkeypatch.setattr(richgit.oracle, "_minimal_pair", refuse)
         monkeypatch.setattr(richgit.criteria, "_minimal_pair", refuse)

@@ -237,33 +237,17 @@ class TestRichardsonComponents:
                             assert v <= c.pair.v and c.pair.v != v
 
 
-# Every lru_cache of richgit, by the public function it serves.  The valley
-# walks of an index are memoized on the index, not in a global cache.
-CACHE_BEHIND = {
-    "minimal_pair": "richgit.criteria._minimal_pair",
-}
-
-
-def lru_caches():
-    """Every lru_cache-wrapped function defined in a richgit module, by qualified name."""
+def test_no_function_has_an_lru_cache():
+    # the valley walks of an index and the minimal pair of a context are
+    # memoized on those objects, so nothing outlives them in a global cache
     import richgit
 
-    found = {}
     for info in pkgutil.iter_modules(richgit.__path__, "richgit."):
         module = importlib.import_module(info.name)
-        for fn in vars(module).values():
-            if hasattr(fn, "cache_info") and fn.__module__ == module.__name__:
-                found[f"{fn.__module__}.{fn.__name__}"] = fn
-    return found
-
-
-@pytest.mark.parametrize("public", sorted(CACHE_BEHIND))
-def test_caches_are_bounded(public):
-    caches = lru_caches()
-    # every cache found is listed here, so each one is checked by some case
-    assert set(caches) == set(CACHE_BEHIND.values())
-    maxsize = caches[CACHE_BEHIND[public]].cache_info().maxsize
-    assert maxsize is not None and 0 < maxsize <= 2**16
+        for obj in vars(module).values():
+            members = vars(obj).values() if isinstance(obj, type) else ()
+            for fn in (obj, *members):
+                assert not hasattr(fn, "cache_info"), (module.__name__, fn)
 
 
 SIDES = (
@@ -341,7 +325,7 @@ class TestSideMemo:
         for _ in range(2000):
             a, b = sorted(rng.sample(range(1, 21), 9)), sorted(rng.sample(range(1, 21), 9))
             pairs.append((tuple(map(min, a, b)), tuple(map(max, a, b))))
-        analyze(*pairs[0], ctx)  # fills minimal_pair's cache outside the trace
+        analyze(*pairs[0], ctx)  # fills ctx's minimal-pair memo outside the trace
         gc.collect()
         tracemalloc.start()
         try:
