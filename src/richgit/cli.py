@@ -139,6 +139,7 @@ def _census_csv(ctx: GrassCtx) -> str:
 
 
 def _analysis_text(rep) -> str:
+    components = rep.components
     lines = [
         f"pair: v={rep.pair.v} w={rep.pair.w} in {rep.pair.ctx}",
         f"nonempty: {str(rep.nonempty).lower()}",
@@ -146,9 +147,9 @@ def _analysis_text(rep) -> str:
         f"dimension: {rep.dimension}",
         "components:",
     ]
-    if not rep.components:
+    if not components:
         lines.append("  (none: the variety is smooth)")
-    for comp in rep.components:
+    for comp in components:
         lines.append(
             f"  {comp.source} v={comp.pair.v} w={comp.pair.w} "
             f"has_semistable={str(comp.has_semistable).lower()}"

@@ -32,6 +32,7 @@ from .core import (
     _fmt_int,
     _index,
     _require_type,
+    _richardson,
     _set_v,
     _set_w,
     make_index,
@@ -159,11 +160,6 @@ class ComponentReport(SingularComponent):
         }
 
 
-_set_comp_pair = ComponentReport.pair.__set__
-_set_comp_source = ComponentReport.source.__set__
-_set_comp_ss = ComponentReport.has_semistable.__set__
-
-
 @dataclass(frozen=True, slots=True)
 class AnalysisReport:
     """Full verdict record for one pair (v, w).
@@ -171,17 +167,46 @@ class AnalysisReport:
     smooth_by_components and smooth_by_pattern are None when the quotient
     is empty, i.e. when the pair admits no semistable points.  The verdict
     follows smooth_by_components; a disagreement with smooth_by_pattern
-    stays visible through the mismatch property.
+    stays visible through the mismatch property.  components is not a
+    field but a function of pair, built on each read.
     """
 
     pair: RichardsonId
     nonempty: bool
     has_semistable: bool
-    components: tuple[ComponentReport, ...]
     smooth_by_components: bool | None
     smooth_by_pattern: bool | None
     verdict: str
     dimension: int
+
+    @property
+    def components(self) -> tuple[ComponentReport, ...]:
+        """richardson_singular_components(pair), each with its semistability flag.
+
+        A new tuple on each read, built from the side records memoized on v
+        and w with the keep and flag tests of analyze's docstring; each flag
+        equals has_semistable(component.pair, minimal_pair(ctx)).  As no
+        field holds it, ==, hash, repr, copying, pickling and
+        dataclasses.replace do not see it.
+        """
+        rid = self.pair
+        vi, wi = rid.v, rid.w
+        ve, we = vi.entries, wi.entries
+        ctx = rid.ctx
+        mp = minimal_pair(ctx)
+        v_min, a = mp.v_min.entries, mp.a
+        ss = has_semistable(rid, mp)
+        schubert = [
+            ComponentReport(_richardson(vi, _index(c, ctx)), SCHUBERT_SIDE, ss and x >= a[j])
+            for c, j, x in _schubert_records(wi)
+            if ve[j] <= x
+        ]
+        opposite = [
+            ComponentReport(_richardson(_index(c, ctx), wi), OPPOSITE_SIDE, ss and v_min[J] >= y)
+            for c, J, y in _opposite_records(vi)
+            if we[J] >= y
+        ]
+        return tuple(schubert + opposite)
 
     @property
     def mismatch(self) -> bool:
@@ -210,7 +235,6 @@ class AnalysisReport:
 _set_pair = AnalysisReport.pair.__set__
 _set_nonempty = AnalysisReport.nonempty.__set__
 _set_has_semistable = AnalysisReport.has_semistable.__set__
-_set_components = AnalysisReport.components.__set__
 _set_by_components = AnalysisReport.smooth_by_components.__set__
 _set_by_pattern = AnalysisReport.smooth_by_pattern.__set__
 _set_verdict = AnalysisReport.verdict.__set__
@@ -235,14 +259,15 @@ def analyze(
     pair that fails goes through RichardsonId's own checks, which raise
     the same errors with the same messages.  Every value derived from the
     pair afterwards is trusted.
-    components equals richardson_singular_components(pair), built in one
-    pass over the side records memoized on v and w
-    (singular._schubert_records and _opposite_records), and each
+    The verdict comes from the side records memoized on v and w
+    (singular._schubert_records and _opposite_records) with one integer
+    comparison per record, and analyze builds no component: an
+    EMPTY_QUOTIENT pair walks neither side, a semistable pair stops at
+    its first flagged record.  AnalysisReport.components builds the list
+    from the same records on each read, with the keep and flag tests
+    below; it equals richardson_singular_components(pair), and each
     component's flag equals has_semistable(component.pair, minimal_pair(ctx)).
-    Only a component that is kept becomes a GrassIndex, and its
-    RichardsonId and ComponentReport are set inline through their slot
-    descriptors.  dimension is length(w) - length(v), the difference of the
-    entry sums.
+    dimension is length(w) - length(v), the difference of the entry sums.
 
     Each side record answers both questions with one integer comparison.
     Entries are 0-based, and u_i - i is the offset of entry i of u.  Every
@@ -265,7 +290,12 @@ def analyze(
     flag (v' <= v_min and w >= w_min) is ss and v_min[J] >= y.
 
     ss is the pair's own semistability, so no component is flagged on an
-    EMPTY_QUOTIENT pair.
+    EMPTY_QUOTIENT pair.  On a semistable pair the keep test follows from
+    the flag test, as v <= v_min = (1, a_0, ..., a_{k-2}) and w >= a:
+    Schubert side, v_j <= v_min[j] = a_{j-1} <= a_j <= x (j >= 1);
+    opposite side, y <= v_min[J] <= a_J <= w_J.  So the pair is SINGULAR
+    iff x >= a_j for some Schubert record or v_min[J] >= y for some
+    opposite record, whatever the keep tests say.
     """
     _require_coprime(ctx)
     vi = v if isinstance(v, GrassIndex) else make_index(v, ctx)
@@ -286,38 +316,15 @@ def analyze(
 
     v_min, a = mp.v_min.entries, mp.a
     ss = all(map(le, ve, v_min)) and all(map(le, a, we))
-    components = []
-    flagged = False
-    for c, j, x in _schubert_records(wi):
-        if ve[j] <= x:
-            flag = ss and x >= a[j]
-            flagged = flagged or flag
-            pair = _new(RichardsonId)
-            _set_v(pair, vi)
-            _set_w(pair, _index(c, ctx))
-            comp = _new(ComponentReport)
-            _set_comp_pair(comp, pair)
-            _set_comp_source(comp, SCHUBERT_SIDE)
-            _set_comp_ss(comp, flag)
-            components.append(comp)
-    for c, J, y in _opposite_records(vi):
-        if we[J] >= y:
-            flag = ss and v_min[J] >= y
-            flagged = flagged or flag
-            pair = _new(RichardsonId)
-            _set_v(pair, _index(c, ctx))
-            _set_w(pair, wi)
-            comp = _new(ComponentReport)
-            _set_comp_pair(comp, pair)
-            _set_comp_source(comp, OPPOSITE_SIDE)
-            _set_comp_ss(comp, flag)
-            components.append(comp)
     if not ss:
         by_components: bool | None = None
         by_pattern: bool | None = None
         verdict = EMPTY_QUOTIENT
     else:
-        by_components = not flagged
+        by_components = not (
+            any(x >= a[j] for _, j, x in _schubert_records(wi))
+            or any(v_min[J] >= y for _, J, y in _opposite_records(vi))
+        )
         by_pattern = _smooth_by_pattern(rid, mp)
         verdict = SMOOTH if by_components else SINGULAR
 
@@ -325,7 +332,6 @@ def analyze(
     _set_pair(rep, rid)
     _set_nonempty(rep, True)
     _set_has_semistable(rep, ss)
-    _set_components(rep, tuple(components))
     _set_by_components(rep, by_components)
     _set_by_pattern(rep, by_pattern)
     _set_verdict(rep, verdict)

@@ -23,8 +23,10 @@ J..t the consecutive run v_{J+1}, ..., v_t + 1: v_J leaves and v_t + 1
 enters.  The walk records it as (v', J, v_{J+1}), in the order of the
 valleys of v^c.  The complement route is its test reference.
 
-The valley row and the one entry recorded let criteria.analyze test and
-flag each component with two integer comparisons (see its docstring).
+The valley row and the one entry recorded let criteria.analyze decide
+the verdict with one integer comparison per record, and
+AnalysisReport.components keep and flag each component with two (see
+analyze's docstring).
 Each walk returns its records as one tuple, and _schubert_records and
 _opposite_records keep that tuple on the index it walked, in the index's
 side memo (core._SideMemo): each side of an index is walked once however
@@ -37,8 +39,8 @@ Richardson: the singular locus of X^v_w is the union of the Schubert-side
 components intersected with X^v and the opposite-side components
 intersected with X(w); empty intersections are dropped via the v <= w
 nonemptiness test.  richardson_singular_components is the public listing
-and the direct-comparison reference for criteria.analyze, which loops
-over the memoized records once.
+and the direct-comparison reference for AnalysisReport.components, which
+loops over the memoized records once.
 """
 
 from __future__ import annotations

@@ -227,6 +227,15 @@ def coprime_pairs(draw, max_n=30):
     return v, w, ctx
 
 
+def assert_verdict_follows_components(rep):
+    # analyze decides the verdict in its own loop over the side records;
+    # it must equal the flags of the component list built on read
+    if rep.has_semistable:
+        assert rep.smooth_by_components == (not any(c.has_semistable for c in rep.components))
+    else:
+        assert rep.smooth_by_components is None
+
+
 class TestAnalyze:
     @settings(max_examples=400, deadline=None, derandomize=True, database=None)
     @given(coprime_pairs())
@@ -236,11 +245,13 @@ class TestAnalyze:
         v, w, ctx = pair
         mp = minimal_pair(ctx)
         rid = RichardsonId(make_index(v, ctx), make_index(w, ctx))
-        got = [(c.pair, c.source, c.has_semistable) for c in analyze(v, w, ctx).components]
+        rep = analyze(v, w, ctx)
+        got = [(c.pair, c.source, c.has_semistable) for c in rep.components]
         assert got == [
             (c.pair, c.source, has_semistable(c.pair, mp))
             for c in richardson_singular_components(rid)
         ]
+        assert_verdict_follows_components(rep)
 
     def test_golden_digest(self):
         # every pair with n <= 9: the report's bytes, and its components
@@ -293,6 +304,7 @@ class TestAnalyze:
             ]
             got = [c.has_semistable for c in rep.components]
             assert got == [has_semistable(c.pair, mp) for c in ref]
+            assert_verdict_follows_components(rep)
             flags += got
             pairs += 1
             candidates = schubert_singular_components(wi) + opposite_singular_components(vi)
@@ -302,6 +314,25 @@ class TestAnalyze:
         assert len(flags) > pairs
         assert any(flags) == (group == "inside")
         assert (dropped > 0) == (group != "inside")
+
+    def test_verdict_builds_no_component(self, monkeypatch):
+        # the verdict reads the side records only: a kept component becomes
+        # a GrassIndex when components is read, one per component, not before
+        ctx = GrassCtx(4, 9)
+        minimal_pair(ctx)
+        built = []
+        index = richgit.criteria._index
+
+        def counting_index(entries, ctx):
+            built.append(entries)
+            return index(entries, ctx)
+
+        monkeypatch.setattr(richgit.criteria, "_index", counting_index)
+        rep = analyze((1, 2, 3, 5), (3, 5, 7, 9), ctx)
+        assert rep.verdict == SINGULAR
+        assert built == []
+        components = rep.components
+        assert components and len(built) == len(components)
 
     def test_reference_verdicts(self):
         assert analyze((1, 3, 5, 7), (3, 5, 7, 9), G49).verdict == SMOOTH

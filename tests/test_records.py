@@ -33,7 +33,7 @@ from richgit import (
     verify,
 )
 from richgit.core import _index, _richardson
-from richgit.criteria import ComponentReport
+from richgit.criteria import AnalysisReport, ComponentReport
 from richgit.diagrams import _partition
 from richgit.oracle import OracleMismatch, PatternMismatch
 
@@ -92,6 +92,27 @@ def test_component_report_extends_singular_component():
     ]
 
 
+def test_analysis_report_fields():
+    assert [f.name for f in dataclasses.fields(AnalysisReport)] == [
+        "pair", "nonempty", "has_semistable", "smooth_by_components",
+        "smooth_by_pattern", "verdict", "dimension",
+    ]
+
+
+def test_copies_read_the_same_components():
+    # components is a function of pair, rebuilt on each read of any copy
+    rep = analyze((1, 3, 4, 6), (5, 7, 8, 9), G49)
+    clones = (
+        copy.copy(rep),
+        copy.deepcopy(rep),
+        pickle.loads(pickle.dumps(rep)),
+        dataclasses.replace(rep),
+    )
+    assert rep.components
+    for clone in clones:
+        assert clone.components == rep.components
+
+
 @pytest.mark.parametrize("record", SAMPLES, ids=lambda r: type(r).__name__)
 class TestFrozenSlottedRecord:
     def test_no_instance_dict(self, record):
@@ -137,7 +158,7 @@ def trusted_and_validated():
         "core._index": (_index(V, G49), GrassIndex(V, G49)),
         "core._richardson": (_richardson(v, w), RichardsonId(v, w)),
         "diagrams._partition": (_partition((0, 1, 1, 2), G49), BoxedPartition((0, 1, 1, 2), G49)),
-        # analyze sets each kept component's two records inline
+        # components builds each kept component's pair trusted
         "criteria.analyze-component": (
             comp,
             ComponentReport(RichardsonId(comp.pair.v, comp.pair.w), comp.source, comp.has_semistable),
