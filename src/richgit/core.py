@@ -4,9 +4,8 @@ Everything here is pure combinatorics on strictly increasing integer
 tuples.  An element of I(k,n) stands for a Schubert class / torus-fixed
 point of G(k,n); the componentwise partial order on these tuples is the
 Bruhat order.  All values are immutable and all functions are pure.  The
-one write after construction is a memo: the side memo of a GrassIndex
-(see _SideMemo) or the minimal-pair memo of a GrassCtx (see _PairMemo).
-Each is idempotent: two threads that fill the same slot store equal
+one write after construction is the minimal-pair memo of a GrassCtx (see
+_PairMemo).  It is idempotent: two threads that fill the slot store equal
 values, so concurrent use needs no synchronization.
 """
 
@@ -95,8 +94,8 @@ class _PairMemo:
     """One slot, not a dataclass field, that memoizes the minimal pair of a context.
 
     criteria._minimal_pair fills _minimal the first time it reads a coprime
-    context (through the slot descriptor, as _SideMemo's are filled) and
-    reads it back on every later call.  The pair points back at its
+    context (through the slot descriptor: the frozen __setattr__ refuses
+    it) and reads it back on every later call.  The pair points back at its
     context, so the two form a cycle that the garbage collector frees once
     the caller drops the context: no global cache holds either.
     Equality, hashing, repr, copying, pickling and dataclasses.replace see
@@ -133,23 +132,8 @@ def fmt_tuple(entries: Sequence[int]) -> str:
     return "(" + ",".join(str(e) for e in entries) + ")"
 
 
-class _SideMemo:
-    """Two slots, not dataclass fields, that memoize the valley walks of an index.
-
-    singular._schubert_records and _opposite_records fill _schubert and
-    _opposite with the walk's records the first time they read an index
-    (through the slot descriptors: the frozen __setattr__ refuses them),
-    and read them back on every later call.  The memo lives and dies with
-    its index, so no global cache holds it.  Equality, hashing, repr,
-    copying, pickling and dataclasses.replace see the fields only: a copy
-    starts with an empty memo and walks again.
-    """
-
-    __slots__ = ("_schubert", "_opposite")
-
-
 @dataclass(frozen=True, slots=True)
-class GrassIndex(_SideMemo):
+class GrassIndex:
     """A strictly increasing k-tuple in [1, n], tagged with its context.
 
     Comparisons between indices use the Bruhat (componentwise) order and

@@ -32,13 +32,11 @@ from .core import (
     _fmt_int,
     _index,
     _require_type,
-    _richardson,
     _set_v,
     _set_w,
     make_index,
 )
-from .singular import OPPOSITE_SIDE, SCHUBERT_SIDE, SingularComponent
-from .singular import _opposite_records, _schubert_records
+from .singular import SingularComponent, richardson_singular_components
 
 __all__ = [
     "EMPTY_QUOTIENT",
@@ -129,20 +127,36 @@ def has_semistable(rid: RichardsonId, mp: MinimalPair) -> bool:
     return all(map(le, rid.v.entries, v_min)) and all(map(le, w_min, rid.w.entries))
 
 
-def _smooth_by_pattern(rid: RichardsonId, mp: MinimalPair) -> bool:
-    """Entry-pattern test on w = (b_1..b_k), v = (c_1..c_k) and a = (a_1..a_k).
+def _upper_clause(b: tuple[int, ...], a: tuple[int, ...]) -> bool:
+    """A(w) for w = (b_1..b_k): b_j >= b_{j-1} + 2 implies b_{j-1} <= a_j - 1.
 
-    For every j in [2, k]: whenever b_j >= b_{j-1} + 2 require
-    a_j >= b_{j-1} + 1, and whenever c_j >= c_{j-1} + 2 require
-    a_{j-1} <= c_j + 1.  Meaningful only when rid admits semistable points.
+    For every j in [2, k]; see analyze's docstring.
     """
-    b, c, a = rid.w.entries, rid.v.entries, mp.a
-    for j in range(1, mp.ctx.k):  # 0-based j stands for 1-based j+1
-        if b[j] >= b[j - 1] + 2 and not a[j] >= b[j - 1] + 1:
-            return False
-        if c[j] >= c[j - 1] + 2 and not a[j - 1] <= c[j] + 1:
+    for j in range(1, len(b)):  # 0-based j stands for 1-based j+1
+        x = b[j - 1]
+        if b[j] > x + 1 and x >= a[j]:
             return False
     return True
+
+
+def _lower_clauses(
+    c: tuple[int, ...], v_min: tuple[int, ...], a: tuple[int, ...]
+) -> tuple[bool, bool]:
+    """(B(v), P(v)) for v = (c_1..c_k), from one pass over v.
+
+    For every j in [2, k] with c_j >= c_{j-1} + 2, B requires
+    c_j >= a_{j-2} + 1 (with a_0 = 1, so a_{j-2} is v_min's entry j-1)
+    and P requires a_{j-1} <= c_j + 1; see analyze's docstring.
+    """
+    exact = shortcut = True
+    for j in range(1, len(c)):  # 0-based j stands for 1-based j+1
+        y = c[j]
+        if y > c[j - 1] + 1:
+            if y <= v_min[j - 1]:
+                exact = False
+            if a[j - 1] > y + 1:
+                shortcut = False
+    return exact, shortcut
 
 
 @dataclass(frozen=True, slots=True)
@@ -183,30 +197,18 @@ class AnalysisReport:
     def components(self) -> tuple[ComponentReport, ...]:
         """richardson_singular_components(pair), each with its semistability flag.
 
-        A new tuple on each read, built from the side records memoized on v
-        and w with the keep and flag tests of analyze's docstring; each flag
-        equals has_semistable(component.pair, minimal_pair(ctx)).  As no
-        field holds it, ==, hash, repr, copying, pickling and
-        dataclasses.replace do not see it.
+        The flag is has_semistable(component.pair, minimal_pair(ctx)).  A
+        new tuple on each read.  As no field holds it, ==, hash, repr,
+        copying, pickling and dataclasses.replace do not see it.
         """
         rid = self.pair
-        vi, wi = rid.v, rid.w
-        ve, we = vi.entries, wi.entries
-        ctx = rid.ctx
-        mp = minimal_pair(ctx)
-        v_min, a = mp.v_min.entries, mp.a
-        ss = has_semistable(rid, mp)
-        schubert = [
-            ComponentReport(_richardson(vi, _index(c, ctx)), SCHUBERT_SIDE, ss and x >= a[j])
-            for c, j, x in _schubert_records(wi)
-            if ve[j] <= x
-        ]
-        opposite = [
-            ComponentReport(_richardson(_index(c, ctx), wi), OPPOSITE_SIDE, ss and v_min[J] >= y)
-            for c, J, y in _opposite_records(vi)
-            if we[J] >= y
-        ]
-        return tuple(schubert + opposite)
+        mp = minimal_pair(rid.ctx)
+        return tuple(
+            [
+                ComponentReport(c.pair, c.source, has_semistable(c.pair, mp))
+                for c in richardson_singular_components(rid)
+            ]
+        )
 
     @property
     def mismatch(self) -> bool:
@@ -259,43 +261,51 @@ def analyze(
     pair that fails goes through RichardsonId's own checks, which raise
     the same errors with the same messages.  Every value derived from the
     pair afterwards is trusted.
-    The verdict comes from the side records memoized on v and w
-    (singular._schubert_records and _opposite_records) with one integer
-    comparison per record, and analyze builds no component: an
-    EMPTY_QUOTIENT pair walks neither side, a semistable pair stops at
-    its first flagged record.  AnalysisReport.components builds the list
-    from the same records on each read, with the keep and flag tests
-    below; it equals richardson_singular_components(pair), and each
-    component's flag equals has_semistable(component.pair, minimal_pair(ctx)).
     dimension is length(w) - length(v), the difference of the entry sums.
 
-    Each side record answers both questions with one integer comparison.
-    Entries are 0-based, and u_i - i is the offset of entry i of u.  Every
-    index (v, w, v_min and w_min = a among them) is strictly increasing, so
-    its offsets are nondecreasing.
+    On a semistable pair the verdict is two clauses on consecutive
+    entries, and analyze builds no component and calls no walk.  Write
+    w = (b_1..b_k), v = (c_1..c_k), a = w_min = (a_1..a_k) and a_0 = 1,
+    so v_min = (a_0, ..., a_{k-1}); j runs over [2, k].
+      A(w): b_j >= b_{j-1} + 2 implies b_{j-1} <= a_j - 1.
+      B(v): c_j >= c_{j-1} + 2 implies c_j >= a_{j-2} + 1.
+      P(v): c_j >= c_{j-1} + 2 implies a_{j-1} <= c_j + 1.
+    smooth_by_components is A and B, and smooth_by_pattern is A and P:
+    A is the pattern shortcut's own upper clause, and P its lower one.
+    _upper_clause scans w for A; _lower_clauses scans v once for B and
+    P, and only when A holds.
 
-    Schubert side, record (w', j, x = w_{j-1}) of a valley (j, s): w' equals
-    w outside rows s..j and runs w_s - 1, ..., w_{j-1} on them, so its
-    offsets there all equal x - j.  As v <= w, v <= w' holds iff
-    v_i - i <= x - j for i in s..j, i.e. (offsets nondecreasing) iff
-    v_j <= x.  Likewise, given w >= w_min, w' >= w_min iff a_j <= x; and
-    w' >= w_min implies w >= w_min, as w' <= w.  So the flag
-    (v <= v_min and w' >= w_min) is ss and x >= a_j.
+    Lemma: on a semistable pair (v <= v_min, w >= a), a component of the
+    singular locus admits semistable points iff its side's clause fails
+    at its valley.  u_i - i is the offset of entry i of an index u; every
+    index is strictly increasing, so its offsets are nondecreasing.  Also
+    i < a_i <= n - k + i, as n > k and a is an index.
 
-    Opposite side, record (v', J, y = v_{J+1}): v' equals v outside rows
-    J..t and runs v_{J+1}, ..., v_t + 1 on them, with offsets all equal
-    to y - J.  As v <= w, v' <= w holds iff y - J <= w_i - i for i in
-    J..t, i.e. iff y <= w_J.  Likewise, given v <= v_min, v' <= v_min iff
-    y <= v_min[J]; and v' <= v_min implies v <= v_min, as v <= v'.  So the
-    flag (v' <= v_min and w >= w_min) is ss and v_min[J] >= y.
+    Schubert side (singular._schubert_walk): a valley at row j has
+    b_j >= b_{j-1} + 2 and b_{j-1} > j - 1, and its component w' equals w
+    outside rows s..j and runs b_s - 1, ..., b_{j-1} on them, with
+    offsets all b_{j-1} - j.  As w >= a, w' >= a iff b_{j-1} >= a_j, and
+    then v <= v_min <= a <= w'.  So the component is kept (v <= w') and
+    flagged (semistable) iff b_{j-1} >= a_j.  The walk's condition
+    b_{j-1} > j - 1 always holds,
+    as b_{j-1} >= a_{j-1} > j - 1.  So no Schubert component is flagged
+    iff A(w).
 
-    ss is the pair's own semistability, so no component is flagged on an
-    EMPTY_QUOTIENT pair.  On a semistable pair the keep test follows from
-    the flag test, as v <= v_min = (1, a_0, ..., a_{k-2}) and w >= a:
-    Schubert side, v_j <= v_min[j] = a_{j-1} <= a_j <= x (j >= 1);
-    opposite side, y <= v_min[J] <= a_J <= w_J.  So the pair is SINGULAR
-    iff x >= a_j for some Schubert record or v_min[J] >= y for some
-    opposite record, whatever the keep tests say.
+    Opposite side (singular._opposite_walk): a gap at rows j-1, j has
+    c_j >= c_{j-1} + 2 and c_j <= n - k + j - 1, and its component v'
+    equals v outside rows j-1..t and runs c_j, ..., c_t + 1 on them, with
+    offsets all c_j - j + 1.  As v <= v_min, v' <= v_min iff
+    c_j <= v_min[j-1] = a_{j-2}, and then v' <= w, as a_{j-2} <= a_{j-1}
+    <= b_{j-1}.  So the component is kept and flagged iff c_j <= a_{j-2}.
+    The walk's condition always holds, as c_j <= v_min[j] = a_{j-1}
+    <= n - k + j - 1.  So no opposite component is flagged iff B(v).
+
+    A component's flag implies the pair's own semistability, as
+    v <= v' and w' <= w, so an EMPTY_QUOTIENT pair has no flagged
+    component.  AnalysisReport.components lists the components with
+    richardson_singular_components and flags each with has_semistable;
+    the tests check the verdict against those flags and each clause
+    against the walks.
     """
     _require_coprime(ctx)
     vi = v if isinstance(v, GrassIndex) else make_index(v, ctx)
@@ -320,13 +330,12 @@ def analyze(
         by_components: bool | None = None
         by_pattern: bool | None = None
         verdict = EMPTY_QUOTIENT
-    else:
-        by_components = not (
-            any(x >= a[j] for _, j, x in _schubert_records(wi))
-            or any(v_min[J] >= y for _, J, y in _opposite_records(vi))
-        )
-        by_pattern = _smooth_by_pattern(rid, mp)
+    elif _upper_clause(we, a):
+        by_components, by_pattern = _lower_clauses(ve, v_min, a)
         verdict = SMOOTH if by_components else SINGULAR
+    else:
+        by_components = by_pattern = False
+        verdict = SINGULAR
 
     rep = _new(AnalysisReport)
     _set_pair(rep, rid)

@@ -121,7 +121,7 @@ def oracle_sweep(ctx: GrassCtx) -> tuple[OracleMismatch, ...]:
     """
     out = []
     for e in combinations(range(1, ctx.n + 1), ctx.k):
-        formula = {c for c, _, _ in _schubert_walk(e)}
+        formula = set(_schubert_walk(e))
         oracle = _hook_oracle_entries(e)
         if formula != oracle:
             out.append(

@@ -11,7 +11,6 @@ entries, so row j is a valley row exactly when w_j > w_{j-1} + 1 (row j
 is longer than row j-1) and w_{j-1} > j (row j-1 holds a box).  With
 rows s..j-1 the run just below, removing the hook makes entries s..j the
 consecutive run w_s - 1, ..., w_{j-1}: w_j leaves and w_s - 1 enters.
-The walk records each component w' as (w', j, w_{j-1}).
 
 Opposite side: X^v is isomorphic to X(v^c) for the complemented index
 v^c, so its components are the complements of the Schubert-side
@@ -20,27 +19,22 @@ entries of v, with no complement: scanning J from k-2 down to 0, a gap
 v_{J+1} > v_J + 1 with v_{J+1} <= n + 1 - k + J is a valley of v^c, and
 with rows J+1..t the run just above, the component v' makes entries
 J..t the consecutive run v_{J+1}, ..., v_t + 1: v_J leaves and v_t + 1
-enters.  The walk records it as (v', J, v_{J+1}), in the order of the
-valleys of v^c.  The complement route is its test reference.
+enters, in the order of the valleys of v^c.  The complement route is
+its test reference.
 
-The valley row and the one entry recorded let criteria.analyze decide
-the verdict with one integer comparison per record, and
-AnalysisReport.components keep and flag each component with two (see
-analyze's docstring).
-Each walk returns its records as one tuple, and _schubert_records and
-_opposite_records keep that tuple on the index it walked, in the index's
-side memo (core._SideMemo): each side of an index is walked once however
-often it is read, and its records go when the index goes, so no global
-cache holds them.  schubert_singular_components and
-opposite_singular_components build a new tuple of indices from the
-records on each call.
+Each walk returns the entry tuples of its components, and
+schubert_singular_components and opposite_singular_components build a
+new tuple of indices from them on each call; nothing is memoized.  The
+walks are the component listing only: criteria.analyze decides its
+verdict from two clauses on consecutive entries, which its docstring
+derives from these walks and the tests check against them.
 
 Richardson: the singular locus of X^v_w is the union of the Schubert-side
 components intersected with X^v and the opposite-side components
 intersected with X(w); empty intersections are dropped via the v <= w
-nonemptiness test.  richardson_singular_components is the public listing
-and the direct-comparison reference for AnalysisReport.components, which
-loops over the memoized records once.
+nonemptiness test.  richardson_singular_components is the one listing,
+and AnalysisReport.components is that listing with a semistability flag
+per component.
 """
 
 from __future__ import annotations
@@ -48,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import le
 
-from .core import GrassIndex, RichardsonId, _index, _richardson, _SideMemo
+from .core import GrassIndex, RichardsonId, _index, _richardson
 
 __all__ = [
     "OPPOSITE_SIDE",
@@ -71,12 +65,8 @@ class SingularComponent:
     source: str
 
 
-# A walk's records: (component entries, valley row, recorded entry) each.
-_Records = tuple[tuple[tuple[int, ...], int, int], ...]
-
-
-def _schubert_walk(e: tuple[int, ...]) -> _Records:
-    """Records (w', j, w_{j-1}) of the Schubert-side components, bottom first.
+def _schubert_walk(e: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Entries w' of the Schubert-side components, bottom valley first.
 
     e holds the entries of w; each w' is in the I(k,n) of e.  The only
     place hook removal makes Schubert-side components.
@@ -87,13 +77,13 @@ def _schubert_walk(e: tuple[int, ...]) -> _Records:
         x = e[j - 1]
         if e[j] > x + 1:
             if x > j:
-                out.append((e[:s] + (e[s] - 1,) + e[s:j] + e[j + 1 :], j, x))
+                out.append(e[:s] + (e[s] - 1,) + e[s:j] + e[j + 1 :])
             s = j
     return tuple(out)
 
 
-def _opposite_walk(e: tuple[int, ...], n: int) -> _Records:
-    """Records (v', J, v_{J+1}) of the opposite-side components of v in I(k,n).
+def _opposite_walk(e: tuple[int, ...], n: int) -> tuple[tuple[int, ...], ...]:
+    """Entries v' of the opposite-side components of v in I(k,n).
 
     e holds the entries of v; the mirrored rule of the module docstring,
     top gap first.  The only place opposite-side components are made.
@@ -106,32 +96,9 @@ def _opposite_walk(e: tuple[int, ...], n: int) -> _Records:
         y = e[J + 1]
         if y > e[J] + 1:
             if y <= top + J:
-                out.append((e[:J] + e[J + 1 : t + 1] + (e[t] + 1,) + e[t + 1 :], J, y))
+                out.append(e[:J] + e[J + 1 : t + 1] + (e[t] + 1,) + e[t + 1 :])
             t = J
     return tuple(out)
-
-
-_set_schubert = _SideMemo._schubert.__set__
-_set_opposite = _SideMemo._opposite.__set__
-
-
-def _schubert_records(w: GrassIndex) -> _Records:
-    """_schubert_walk of w, walked once and then read from w's side memo."""
-    # getattr with a default: an unfilled slot raises no exception object here
-    records = getattr(w, "_schubert", None)
-    if records is None:
-        records = _schubert_walk(w.entries)
-        _set_schubert(w, records)
-    return records
-
-
-def _opposite_records(v: GrassIndex) -> _Records:
-    """_opposite_walk of v, walked once and then read from v's side memo."""
-    records = getattr(v, "_opposite", None)
-    if records is None:
-        records = _opposite_walk(v.entries, v.ctx.n)
-        _set_opposite(v, records)
-    return records
 
 
 def schubert_singular_components(w: GrassIndex) -> tuple[GrassIndex, ...]:
@@ -139,20 +106,19 @@ def schubert_singular_components(w: GrassIndex) -> tuple[GrassIndex, ...]:
 
     Empty when the part sequence has at most one nonzero run (X(w) smooth).
     Components are ordered by the valley they remove, bottom row first.
-    A new tuple on each call, built from w's memoized walk.
     """
     ctx = w.ctx
-    return tuple([_index(c, ctx) for c, _, _ in _schubert_records(w)])
+    return tuple([_index(c, ctx) for c in _schubert_walk(w.entries)])
 
 
 def opposite_singular_components(v: GrassIndex) -> tuple[GrassIndex, ...]:
     """Indices v' of the singular-locus components X^{v'} of X^v.
 
     The complements of the Schubert-side components of the complement of v,
-    in the same order.  A new tuple on each call, built from v's memoized walk.
+    in the same order.
     """
     ctx = v.ctx
-    return tuple([_index(c, ctx) for c, _, _ in _opposite_records(v)])
+    return tuple([_index(c, ctx) for c in _opposite_walk(v.entries, ctx.n)])
 
 
 def richardson_singular_components(

@@ -59,6 +59,8 @@ class TestErrorNumbers:
     def test_abbreviated_past_twenty_digits(self):
         assert _fmt_int(10**20) == "100000...000000 (21 digits)"
         assert _fmt_int(-(10**20) - 7) == "-100000...000007 (21 digits)"
+        # the first negative value abbreviated: the bound is strict on both sides
+        assert _fmt_int(-(10**20)) == "-100000...000000 (21 digits)"
         assert _fmt_int(int("123456789" * 30)) == "123456...456789 (270 digits)"
         # past Python's 4,300-digit limit for str(int)
         assert _fmt_int(3 * 10**5000 + 42) == "300000...000042 (5001 digits)"

@@ -8,12 +8,14 @@ import random
 import re
 import tracemalloc
 from math import gcd
+from operator import le
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import richgit.criteria
+import richgit.singular
 from richgit import (
     EMPTY_QUOTIENT,
     SINGULAR,
@@ -30,6 +32,8 @@ from richgit import (
     complement_index,
     enumerate_indices,
     has_semistable,
+    indices_above,
+    indices_below,
     make_index,
     minimal_pair,
     opposite_singular_components,
@@ -37,6 +41,8 @@ from richgit import (
     schubert_singular_components,
 )
 from richgit.cli import main
+from richgit.criteria import _lower_clauses, _upper_clause
+from richgit.singular import _opposite_walk, _schubert_walk
 
 from helpers import G49, coprime_ctxs, idx
 
@@ -200,6 +206,27 @@ class TestSmoothByPattern:
         assert rep.smooth_by_components == rep.smooth_by_pattern is True
 
 
+class TestClauses:
+    def test_clauses_are_the_walks_per_side_index(self):
+        # analyze's lemma on every side index of every coprime context with
+        # n <= 16: A(w) iff no Schubert component w' of w has w' >= w_min,
+        # and B(v) iff no opposite component v' of v has v' <= v_min
+        indices = 0
+        for ctx in coprime_ctxs(16):
+            mp = minimal_pair(ctx)
+            a, v_min = mp.a, mp.v_min.entries
+            for w in indices_above(mp.w_min):
+                flagged = any(all(map(le, a, c)) for c in _schubert_walk(w.entries))
+                assert _upper_clause(w.entries, a) is not flagged, (ctx, w)
+                indices += 1
+            for v in indices_below(mp.v_min):
+                walk = _opposite_walk(v.entries, ctx.n)
+                flagged = any(all(map(le, c, v_min)) for c in walk)
+                assert _lower_clauses(v.entries, v_min, a)[0] is not flagged, (ctx, v)
+                indices += 1
+        assert indices == 2 * 4505
+
+
 # sha256 of json.dumps(analyze(v, w, ctx).to_dict(), sort_keys=True), concatenated
 # over every pair v <= w, in enumeration order, of every coprime context with
 # n <= 9: pins component lists, component flags and dimensions, not only verdicts
@@ -316,18 +343,18 @@ class TestAnalyze:
         assert (dropped > 0) == (group != "inside")
 
     def test_verdict_builds_no_component(self, monkeypatch):
-        # the verdict reads the side records only: a kept component becomes
-        # a GrassIndex when components is read, one per component, not before
+        # the verdict reads the clauses only: components become indices when
+        # components is read, one per component on the rectangle, not before
         ctx = GrassCtx(4, 9)
         minimal_pair(ctx)
         built = []
-        index = richgit.criteria._index
+        index = richgit.singular._index
 
         def counting_index(entries, ctx):
             built.append(entries)
             return index(entries, ctx)
 
-        monkeypatch.setattr(richgit.criteria, "_index", counting_index)
+        monkeypatch.setattr(richgit.singular, "_index", counting_index)
         rep = analyze((1, 2, 3, 5), (3, 5, 7, 9), ctx)
         assert rep.verdict == SINGULAR
         assert built == []
@@ -442,8 +469,6 @@ class TestAnalyze:
         # provably matches the component criterion
         for ctx in (GrassCtx(2, 5), GrassCtx(3, 7), GrassCtx(4, 9), GrassCtx(5, 11)):
             mp = minimal_pair(ctx)
-            from richgit import indices_above, indices_below
-
             for v in indices_below(mp.v_min):
                 for w in indices_above(mp.w_min):
                     rep = analyze(v, w, ctx)

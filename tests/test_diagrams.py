@@ -4,6 +4,7 @@ import pytest
 
 from richgit import (
     BoxedPartition,
+    GrassCtx,
     GrassError,
     RichardsonId,
     complement_index,
@@ -89,6 +90,8 @@ class TestPartitionConversion:
             part((0, 0, 0, 6))  # wider than the rectangle
         with pytest.raises(GrassError, match="row 3"):
             part((0, 1, 1.5, 2))  # within every bound, so only the type check stops it
+        with pytest.raises(GrassError, match="^row 2 has 1 boxes, fewer than row 1$"):
+            BoxedPartition((2, 1, 3), GrassCtx(3, 7))
 
 
 class TestComplement:

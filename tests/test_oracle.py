@@ -289,6 +289,12 @@ class TestCensus:
         with pytest.raises(GrassError, match=r"^G\(5,2097153\) has more than 1,048,576 admissible"):
             _check_pairs(GrassCtx(5, 2**21 + 1))
 
+    def test_guard_admits_exactly_the_cap(self):
+        # G(2,2049) has s = C(2049,2)/2049 = 1024 per side, 2**20 pairs in all
+        assert _check_pairs(GrassCtx(2, 2049)) == 2_098_176
+        with pytest.raises(GrassError, match=r"^G\(2,2051\) has 1,050,625 admissible pairs;"):
+            _check_pairs(GrassCtx(2, 2051))
+
     def test_verify_totals_are_squares_of_the_closed_form(self):
         ctxs = default_contexts()
         rep = verify()

@@ -1,14 +1,10 @@
-import copy
 import dataclasses
 import gc
 import importlib
-import pickle
 import pkgutil
 import random
 import tracemalloc
 from itertools import combinations
-
-import pytest
 
 from richgit import (
     OPPOSITE_SIDE,
@@ -20,11 +16,8 @@ from richgit import (
     census,
     complement_index,
     enumerate_indices,
-    indices_above,
-    indices_below,
     length,
     make_index,
-    minimal_pair,
     opposite_singular_components,
     richardson_singular_components,
     schubert_singular_components,
@@ -33,12 +26,7 @@ from richgit import (
 from richgit import singular
 from richgit.core import _index
 from richgit.oracle import _hook_oracle_entries
-from richgit.singular import (
-    _opposite_records,
-    _opposite_walk,
-    _schubert_records,
-    _schubert_walk,
-)
+from richgit.singular import _opposite_walk, _schubert_walk
 
 from helpers import G49, all_small_ctxs, idx, runs
 
@@ -136,7 +124,7 @@ class TestOppositeComponents:
         # the complement-free opposite walk on every index with n <= 14:
         # against its definition (complement, Schubert walk, complement
         # back), order included, and as a set against the cell oracle on
-        # the complement; each record holds v'_J = v_{J+1}
+        # the complement; each component swaps one entry of v for another
         for ctx in all_small_ctxs(14):
             n = ctx.n
 
@@ -144,12 +132,11 @@ class TestOppositeComponents:
                 return complement_index(_index(e, ctx)).entries
 
             for e in combinations(range(1, n + 1), ctx.k):
-                records = _opposite_walk(e, n)
-                got = [c for c, _, _ in records]
+                got = list(_opposite_walk(e, n))
                 ec = complement(e)
-                assert got == [complement(c) for c, _, _ in _schubert_walk(ec)], e
+                assert got == [complement(c) for c in _schubert_walk(ec)], e
                 assert set(got) == {complement(c) for c in _hook_oracle_entries(ec)}, e
-                assert all(c[J] == y == e[J + 1] for c, J, y in records), e
+                assert all(len(set(c) - set(e)) == 1 for c in got), e
 
     def test_box_counts_grow_by_hook_size(self):
         # dual route without re-deriving the complement construction: each
@@ -238,8 +225,8 @@ class TestRichardsonComponents:
 
 
 def test_no_function_has_an_lru_cache():
-    # the valley walks of an index and the minimal pair of a context are
-    # memoized on those objects, so nothing outlives them in a global cache
+    # nothing is memoized but the minimal pair, on its context, so nothing
+    # outlives its objects in a global cache
     import richgit
 
     for info in pkgutil.iter_modules(richgit.__path__, "richgit."):
@@ -250,121 +237,78 @@ def test_no_function_has_an_lru_cache():
                 assert not hasattr(fn, "cache_info"), (module.__name__, fn)
 
 
-SIDES = (
-    (_schubert_records, schubert_singular_components, lambda u: _schubert_walk(u.entries)),
-    (
-        _opposite_records,
-        opposite_singular_components,
-        lambda u: _opposite_walk(u.entries, u.ctx.n),
-    ),
-)
+def test_components_are_the_walks():
+    for ctx in all_small_ctxs(10):
+        for u in enumerate_indices(ctx):
+            for public, walk in (
+                (schubert_singular_components, _schubert_walk(u.entries)),
+                (opposite_singular_components, _opposite_walk(u.entries, ctx.n)),
+            ):
+                assert type(walk) is tuple
+                comps = public(u)
+                assert comps == tuple(_index(c, ctx) for c in walk)
+                assert all(c.ctx == ctx for c in comps)
+                if comps:
+                    # a new tuple on each call: nothing is memoized
+                    assert public(u) is not comps
 
 
-def memo(u):
-    """The two side memo slots of u, None where unfilled."""
-    return getattr(u, "_schubert", None), getattr(u, "_opposite", None)
+def test_analyze_and_census_call_no_walk(monkeypatch):
+    # the verdicts come from the clauses on entries; only reading a
+    # report's components walks.  oracle binds _schubert_walk under its own
+    # name, so census's oracle sweep still runs.
+    walked = []
+
+    def counting(walk):
+        def counted(*args):
+            walked.append(args[0])
+            return walk(*args)
+
+        return counted
+
+    monkeypatch.setattr(singular, "_schubert_walk", counting(_schubert_walk))
+    monkeypatch.setattr(singular, "_opposite_walk", counting(_opposite_walk))
+    rep = census(G49)
+    assert rep.total_pairs == 14 * 14
+    pairs = (
+        ((1, 3, 5, 7), (3, 5, 7, 9)),
+        ((1, 3, 4, 6), (5, 7, 8, 9)),
+        ((1, 2, 6, 7), (3, 6, 7, 9)),
+    )
+    reports = [analyze(v, w, G49) for v, w in pairs]
+    assert {r.verdict for r in reports} == {"SMOOTH", "SINGULAR", "EMPTY_QUOTIENT"}
+    assert walked == []
+    assert all(r.components for r in reports)
+    assert len(walked) == 2 * len(reports)
 
 
-class TestSideMemo:
-    def test_records_are_the_walks(self):
-        for ctx in all_small_ctxs(10):
-            for u in enumerate_indices(ctx):
-                for records, public, walk in SIDES:
-                    first = records(u)
-                    assert type(first) is tuple and first == walk(u)
-                    # read back from the memo, not walked again
-                    assert records(u) is first
-                    comps = public(u)
-                    assert comps == tuple(_index(c, ctx) for c, _, _ in first)
-                    assert all(c.ctx == ctx for c in comps)
-                    if comps:
-                        # the public function builds a new tuple on each call
-                        assert public(u) is not comps
-                assert None not in memo(u)
-
-    def test_records_are_not_tracked_by_the_gc(self):
-        # a record holds an entry tuple and two ints, so the GC stops tracking
-        # it and the memo tuple around it.  A collection untracks a tuple only
-        # if its items are untracked already, and it may visit the tuple
-        # first: the three levels of nesting can take three collections.
-        ctx = GrassCtx(5, 12)
-        entries = [records(u) for u in enumerate_indices(ctx) for records, _, _ in SIDES]
-        for _ in range(3):
-            gc.collect()
-        assert sum(map(len, entries)) > 0
-        for entry in entries:
-            assert not gc.is_tracked(entry)
-            assert not any(gc.is_tracked(record) for record in entry)
-
-    def test_census_walks_each_side_index_once(self, monkeypatch):
-        # oracle binds _schubert_walk under its own name, so its sweep is not counted
-        walked = {"schubert": [], "opposite": []}
-
-        def counting(side, walk):
-            def counted(e, *rest):
-                walked[side].append(e)
-                return walk(e, *rest)
-
-            return counted
-
-        monkeypatch.setattr(singular, "_schubert_walk", counting("schubert", _schubert_walk))
-        monkeypatch.setattr(singular, "_opposite_walk", counting("opposite", _opposite_walk))
-        rep = census(G49)
-        assert rep.total_pairs == 14 * 14
-        mp = minimal_pair(G49)
-        assert sorted(walked["schubert"]) == [u.entries for u in indices_above(mp.w_min)]
-        assert sorted(walked["opposite"]) == [u.entries for u in indices_below(mp.v_min)]
-
-    def test_analyze_retains_nothing(self):
-        # 2,000 seeded pairs of raw tuples in G(9,20), with about 7,700 kept
-        # components: the memos go with the reports.  A global side cache
-        # would keep them (4.7 MB on these pairs).
-        ctx = GrassCtx(9, 20)
-        rng = random.Random(2020)
-        pairs = []
-        for _ in range(2000):
-            a, b = sorted(rng.sample(range(1, 21), 9)), sorted(rng.sample(range(1, 21), 9))
-            pairs.append((tuple(map(min, a, b)), tuple(map(max, a, b))))
-        analyze(*pairs[0], ctx)  # fills ctx's minimal-pair memo outside the trace
+def test_analyze_retains_nothing():
+    # 2,000 seeded pairs of raw tuples in G(9,20), with about 7,700 kept
+    # components: nothing outlives the reports.  A global side cache
+    # would keep the walks (4.7 MB on these pairs).
+    ctx = GrassCtx(9, 20)
+    rng = random.Random(2020)
+    pairs = []
+    for _ in range(2000):
+        a, b = sorted(rng.sample(range(1, 21), 9)), sorted(rng.sample(range(1, 21), 9))
+        pairs.append((tuple(map(min, a, b)), tuple(map(max, a, b))))
+    analyze(*pairs[0], ctx)  # fills ctx's minimal-pair memo outside the trace
+    gc.collect()
+    tracemalloc.start()
+    try:
+        components = 0
+        for v, w in pairs:
+            components += len(analyze(v, w, ctx).components)
         gc.collect()
-        tracemalloc.start()
-        try:
-            components = 0
-            for v, w in pairs:
-                components += len(analyze(v, w, ctx).components)
-            gc.collect()
-            retained = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
-        assert components > 5000
-        assert retained < 1024
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert components > 5000
+    assert retained < 1024
 
-    def test_memo_slots_are_not_fields(self):
-        assert [f.name for f in dataclasses.fields(GrassIndex)] == ["entries", "ctx"]
-        u = idx((1, 3, 4, 6))
-        assert memo(u) == (None, None)
-        # CPython 3.10-3.13 raise TypeError, not FrozenInstanceError, for a
-        # name that is not a field of a frozen slotted dataclass
-        with pytest.raises((AttributeError, TypeError)):
-            u._schubert = ()
-        assert memo(u) == (None, None)
 
-    def test_filled_memo_is_invisible(self):
-        filled = idx((1, 3, 4, 6))
-        walks = [records(filled) for records, _, _ in SIDES]
-        assert all(walks)
-        fresh = idx((1, 3, 4, 6))
-        assert memo(fresh) == (None, None)
-        assert filled == fresh and hash(filled) == hash(fresh)
-        assert repr(filled) == repr(fresh)
-        clones = (
-            copy.copy(filled),
-            copy.deepcopy(filled),
-            pickle.loads(pickle.dumps(filled)),
-            dataclasses.replace(filled),
-        )
-        for clone in clones:
-            assert clone == filled and memo(clone) == (None, None)
-            again = [records(clone) for records, _, _ in SIDES]
-            assert again == walks
-            assert all(x is not y for x, y in zip(again, walks))
+def test_index_slots_are_its_fields():
+    # an index holds its entries and context and no memo
+    assert [f.name for f in dataclasses.fields(GrassIndex)] == ["entries", "ctx"]
+    slots = [name for cls in GrassIndex.__mro__ for name in getattr(cls, "__slots__", ())]
+    assert slots == ["entries", "ctx"]
