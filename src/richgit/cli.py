@@ -22,9 +22,9 @@ from .core import (
     fmt_tuple,
     make_index,
 )
-from .criteria import analyze, minimal_pair
+from .criteria import SMOOTH, analyze, minimal_pair
 from .diagrams import render_skew
-from .oracle import admissible_reports, census, verify
+from .oracle import _edge_reports, census, verify
 from .singular import richardson_singular_components
 
 
@@ -120,21 +120,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _census_csv(ctx: GrassCtx) -> str:
+    """census's pairs as rows: smooth iff both edge reports are, dimension from entry sums."""
+    lower, upper = _edge_reports(ctx)
+    side = lambda e, r: (",".join(map(str, e)), sum(e), r.verdict == SMOOTH)
+    vs = [side(r.pair.v.entries, r) for r in lower]
+    ws = [side(r.pair.w.entries, r) for r in upper]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["k", "n", "v", "w", "dimension", "has_semistable", "smooth"])
-    for rep in admissible_reports(ctx):
-        writer.writerow(
-            [
-                ctx.k,
-                ctx.n,
-                ",".join(str(e) for e in rep.pair.v.entries),
-                ",".join(str(e) for e in rep.pair.w.entries),
-                rep.dimension,
-                "true" if rep.has_semistable else "false",
-                "true" if rep.smooth_by_components else "false",
-            ]
-        )
+    k, n = ctx.k, ctx.n
+    writer.writerows(
+        [k, n, v, w, w_sum - v_sum, "true", "true" if v_ok and w_ok else "false"]
+        for v, v_sum, v_ok in vs
+        for w, w_sum, w_ok in ws
+    )
     return buf.getvalue()
 
 

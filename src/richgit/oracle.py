@@ -8,17 +8,16 @@ check each other.  oracle_sweep runs both on entry tuples
 (singular._schubert_walk and _hook_oracle_entries) over all of
 I(k,n), and builds indices only to report a disagreement.
 
-admissible_reports analyzes every pair (v, w) with v <= v_min and
-w >= w_min of one coprime context.  census aggregates it, cross-checking
-the component criterion against the pattern shortcut and the
-hook-removal formula against the cell-set oracle.
+census covers every pair (v, w) with v <= v_min and w >= w_min of one
+coprime context from analyze on the pairs through (v_min, w_min),
+cross-checking the component criterion against the pattern shortcut and
+the hook-removal formula against the cell-set oracle.
 verify aggregates censuses over a context list (default: all coprime
 (k, n) with n <= 12) into one deterministic, machine-readable report.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
@@ -179,8 +178,8 @@ class CensusReport:
         }
 
 
-# Most admissible pairs one census analyzes.  G(5,14) has 20,449 and
-# G(7,16) 511,225; G(9,20) has 70,526,404, tens of minutes of analyze.
+# Most admissible pairs one census covers.  G(5,14) has 20,449 and
+# G(7,16) 511,225; G(9,20) has 70,526,404, gigabytes of CSV rows.
 MAX_PAIRS = 2**20
 
 
@@ -236,43 +235,43 @@ def _check_census(ctx: GrassCtx) -> None:
         )
 
 
-def admissible_reports(ctx: GrassCtx) -> Iterator[AnalysisReport]:
-    """analyze(v, w, ctx) for every v <= v_min and w >= w_min, v-major.
+def _edge_reports(ctx: GrassCtx) -> tuple[list[AnalysisReport], list[AnalysisReport]]:
+    """[analyze(v, w_min) for v <= v_min], [analyze(v_min, w) for w >= w_min].
 
-    Both intervals are enumerated in lexicographic order, and the reports
-    stream one at a time.  On the first next(), raises what _check_pairs
-    raises.
+    Each side in lexicographic order; raises what _check_pairs raises first.
     """
     _check_pairs(ctx)
     mp = _minimal_pair(ctx)
-    ws = indices_above(mp.w_min)
-    for v in indices_below(mp.v_min):
-        for w in ws:
-            yield analyze(v, w, ctx)
+    return (
+        [analyze(v, mp.w_min, ctx) for v in indices_below(mp.v_min)],
+        [analyze(mp.v_min, w, ctx) for w in indices_above(mp.w_min)],
+    )
 
 
 def census(ctx: GrassCtx) -> CensusReport:
-    """Analyze every pair with v <= v_min and w >= w_min.
+    """Verdicts of every pair with v <= v_min and w >= w_min, v-major.
 
     Raises what _check_census raises before any work: NotCoprime, or
     GrassError when the pairs or the oracle sweep exceed their bounds.
+    analyze runs on the 2s edge pairs of _edge_reports only (s = C(n,k)/n).
+    In analyze's terms (v, w) is smooth by components iff A(w) and B(v),
+    by pattern iff A(w) and P(v), and A(w_min), B(v_min), P(v_min) hold:
+      analyze(v, w_min) has B(v) by components and P(v) by pattern;
+      analyze(v_min, w) is SMOOTH iff A(w);
+      so (v, w) is SMOOTH iff both are, and a mismatch, with the flags
+      of analyze(v, w_min), iff that is one and A(w) holds.
     """
     _check_census(ctx)
-    total = smooth = 0
-    mismatches = []
-    for rep in admissible_reports(ctx):
-        total += 1
-        if rep.verdict == SMOOTH:
-            smooth += 1
-        if rep.mismatch:
-            mismatches.append(
-                PatternMismatch(
-                    v=rep.pair.v,
-                    w=rep.pair.w,
-                    smooth_by_components=rep.smooth_by_components,
-                    smooth_by_pattern=rep.smooth_by_pattern,
-                )
-            )
+    lower, upper = _edge_reports(ctx)
+    ws = [r.pair.w for r in upper if r.verdict == SMOOTH]
+    total = len(lower) * len(upper)
+    smooth = len(ws) * sum(r.verdict == SMOOTH for r in lower)
+    mismatches = [
+        PatternMismatch(r.pair.v, w, r.smooth_by_components, r.smooth_by_pattern)
+        for r in lower
+        if r.mismatch
+        for w in ws
+    ]
     oracle_mismatches = oracle_sweep(ctx)
     notes = list(ERRATUM_NOTES)
     if mismatches:

@@ -1,9 +1,21 @@
-"""Helpers shared by the test modules: index shorthand and context lists."""
+"""Helpers shared by the test modules: index shorthand, context lists and
+the per-pair reference census."""
 
+import csv
+import io
 from itertools import groupby
 from math import gcd
 
-from richgit import GrassCtx, make_index
+from richgit import (
+    SMOOTH,
+    GrassCtx,
+    PatternMismatch,
+    analyze,
+    indices_above,
+    indices_below,
+    make_index,
+    minimal_pair,
+)
 
 G49 = GrassCtx(4, 9)
 
@@ -27,3 +39,51 @@ def all_small_ctxs(max_n):
 
 def runs(p):
     return [(value, len(list(g))) for value, g in groupby(x for x in p.parts if x)]
+
+
+def admissible_reports(ctx):
+    """analyze(v, w, ctx) for every v <= v_min and w >= w_min, v-major.
+
+    Both intervals in lexicographic order.  census builds its verdicts
+    from the edge pairs alone; this is the per-pair loop it is checked
+    against, and it assumes nothing of the product.
+    """
+    mp = minimal_pair(ctx)
+    ws = indices_above(mp.w_min)
+    for v in indices_below(mp.v_min):
+        for w in ws:
+            yield analyze(v, w, ctx)
+
+
+def per_pair_census(ctx):
+    """(total pairs, smooth count, mismatches, CSV text) from admissible_reports.
+
+    The mismatches are PatternMismatch records in pair order, and the CSV
+    text is the one census --format csv prints.
+    """
+    total = smooth = 0
+    mismatches = []
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["k", "n", "v", "w", "dimension", "has_semistable", "smooth"])
+    for rep in admissible_reports(ctx):
+        total += 1
+        smooth += rep.verdict == SMOOTH
+        if rep.mismatch:
+            mismatches.append(
+                PatternMismatch(
+                    rep.pair.v, rep.pair.w, rep.smooth_by_components, rep.smooth_by_pattern
+                )
+            )
+        writer.writerow(
+            [
+                ctx.k,
+                ctx.n,
+                ",".join(str(e) for e in rep.pair.v.entries),
+                ",".join(str(e) for e in rep.pair.w.entries),
+                rep.dimension,
+                "true" if rep.has_semistable else "false",
+                "true" if rep.smooth_by_components else "false",
+            ]
+        )
+    return total, smooth, tuple(mismatches), buf.getvalue()

@@ -632,15 +632,21 @@ def test_parse_errors_echo_a_bounded_argument(capsys, argv, line):
     assert len(line.encode()) <= 128
 
 
-SMOKE_GOLDENS = json.loads(
+BENCH_GOLDENS = json.loads(
     (Path(__file__).parent.parent / "perfbench" / "goldens.json").read_text()
-)["smoke_cli"]
+)
+GOLDEN_RUNS = [
+    pytest.param(golden, id=prefix + name)
+    for table, prefix in (("smoke_cli", ""), ("cli", "full-"))
+    for name, golden in sorted(BENCH_GOLDENS[table].items())
+]
 
 
-@pytest.mark.parametrize("name", sorted(SMOKE_GOLDENS))
-def test_smoke_golden_bytes(capsys, name):
-    # the benchmark checks these same digests; this keeps them in tier-1
-    golden = SMOKE_GOLDENS[name]
+@pytest.mark.parametrize("golden", GOLDEN_RUNS)
+def test_smoke_golden_bytes(capsys, golden):
+    # the benchmark checks these same digests, at the smoke sizes and at the
+    # full sizes it times (G(5,14) has 4,171 mismatches in v-major order);
+    # this keeps them in tier-1
     code, out, _ = run_cli(capsys, *golden["argv"])
     data = out.encode("utf-8")
     assert code == golden["exit"]

@@ -1,4 +1,7 @@
-"""The product structure of the census, pinned before any code relies on it.
+"""The product structure of the census, pinned from the component functions.
+
+census builds its verdicts from this product (see its docstring);
+test_oracle.py checks it there against analyze on every pair.
 
 On the admissible rectangle (v <= v_min, w >= w_min) of a coprime
 context, write

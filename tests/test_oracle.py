@@ -26,17 +26,16 @@ from richgit import (
 )
 import richgit.criteria
 import richgit.oracle
-from richgit.cli import main, to_json
+from richgit.cli import _census_csv, main, to_json
 from richgit.oracle import (
     MAX_PAIRS,
     MAX_SWEEP_CELLS,
     _check_census,
     _check_pairs,
     _hook_oracle_entries,
-    admissible_reports,
 )
 
-from helpers import G49, idx
+from helpers import G49, coprime_ctxs, idx, per_pair_census
 
 
 def refuse(*args):
@@ -316,14 +315,19 @@ class TestCensus:
             assert _check_pairs(ctx) == ctx.n
         assert time.perf_counter() - start < 2
 
-    def test_guard_refuses_before_analyzing(self):
-        reports = admissible_reports(GrassCtx(9, 20))
-        with pytest.raises(GrassError, match=r"G\(9,20\) has 70,526,404 admissible pairs"):
-            next(reports)
-        with pytest.raises(GrassError, match="1,048,576"):
+    def test_guard_refuses_before_analyzing(self, monkeypatch, capsys):
+        monkeypatch.setattr(richgit.oracle, "analyze", refuse)
+        monkeypatch.setattr(richgit.oracle, "indices_below", refuse)
+        monkeypatch.setattr(richgit.oracle, "indices_above", refuse)
+        message = (
+            "G(9,20) has 70,526,404 admissible pairs; a census analyzes at most 1,048,576"
+        )
+        with pytest.raises(GrassError, match=f"^{re.escape(message)}$"):
             census(GrassCtx(9, 20))
+        assert main(["census", "-k", "9", "-n", "20", "--format", "csv"]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
-    def test_gap_product_refuses_before_the_count(self, monkeypatch):
+    def test_gap_product_refuses_before_the_count(self, monkeypatch, capsys):
         # named for the guard's old lower bound; C(n,2) already passes the cap here
         monkeypatch.setattr(richgit.oracle, "analyze", refuse)
         monkeypatch.setattr(richgit.oracle, "oracle_sweep", refuse)
@@ -331,22 +335,22 @@ class TestCensus:
         monkeypatch.setattr(richgit.oracle, "indices_above", refuse)
         ctx = GrassCtx(3, 3000001)
         message = (
-            r"^G\(3,3000001\) has more than 1,048,576 admissible pairs; "
-            r"a census analyzes at most 1,048,576$"
+            "G(3,3000001) has more than 1,048,576 admissible pairs; "
+            "a census analyzes at most 1,048,576"
         )
-        with pytest.raises(GrassError, match=message):
+        with pytest.raises(GrassError, match=f"^{re.escape(message)}$"):
             census(ctx)
-        with pytest.raises(GrassError, match=message):
-            next(admissible_reports(ctx))
-        with pytest.raises(GrassError, match=message):
+        with pytest.raises(GrassError, match=f"^{re.escape(message)}$"):
             verify([ctx])
+        assert main(["census", "-k", "3", "-n", "3000001", "--format", "csv"]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_guard_admits_the_largest_benchmark_context(self):
         # G(7,16) has (C(16,7)/16) ** 2 = 715 ** 2 = 511,225 pairs, under MAX_PAIRS
         assert side_size(GrassCtx(7, 16)) ** 2 == 511225 <= MAX_PAIRS
         assert _check_pairs(GrassCtx(7, 16)) == comb(16, 7)
-        rep = next(admissible_reports(GrassCtx(7, 16)))
-        assert rep.pair.v.entries == tuple(range(1, 8))
+        rep = census(GrassCtx(7, 16))
+        assert (rep.total_pairs, rep.oracle_mismatches) == (511225, ())
 
     def test_refusals_build_no_minimal_pair(self, monkeypatch, capsys):
         # _minimal_pair, minimal_pair's builder, builds three k-entry
@@ -389,13 +393,47 @@ class TestCensus:
         )):
             _check_census(GrassCtx(1, 2**24 + 1))
 
-    def test_sweep_guard_bound(self):
+    def test_sweep_guard_bound(self, capsys):
         # the largest admitted k = 2 context, and every context the
         # benchmark and the default verify run, pass; the CSV path has no sweep
         assert 257 * 256 * 255 <= MAX_SWEEP_CELLS < 259 * 258 * 257
         for ctx in [GrassCtx(2, 257), GrassCtx(5, 14), GrassCtx(7, 16), *default_contexts()]:
             _check_census(ctx)
-        assert next(admissible_reports(GrassCtx(2, 259))).pair.v.entries == (1, 2)
+        assert main(["census", "-k", "2", "-n", "259", "--format", "csv"]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert len(rows) == 1 + 129**2
+        assert rows[1].startswith('2,259,"1,2",')
+
+    @pytest.mark.parametrize("ctx", [*coprime_ctxs(12), GrassCtx(5, 14)], ids=str)
+    def test_census_equals_per_pair_analyze(self, ctx):
+        # census and the CSV rows rest on the edge product; analyze on every
+        # pair, in pair order, must build the same counts, list and bytes
+        total, smooth, mismatches, rows = per_pair_census(ctx)
+        rep = census(ctx)
+        assert (rep.total_pairs, rep.smooth_count, rep.singular_count) == (
+            total, smooth, total - smooth
+        )
+        assert rep.mismatches == mismatches
+        assert _census_csv(ctx) == rows
+
+    def test_census_analyzes_the_edges_only(self, monkeypatch, capsys):
+        # G(4,9) has s = 14 indices per side: 2 * 14 edge pairs, not 14 ** 2
+        calls = []
+        real = richgit.oracle.analyze
+
+        def counting(v, w, ctx):
+            calls.append((v.entries, w.entries))
+            return real(v, w, ctx)
+
+        monkeypatch.setattr(richgit.oracle, "analyze", counting)
+        mp = minimal_pair(G49)
+        census(G49)
+        assert len(calls) == 2 * 14
+        assert {v for v, w in calls if w != mp.w_min.entries} == {mp.v_min.entries}
+        calls.clear()
+        assert main(["census", "-k", "4", "-n", "9", "--format", "csv"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 14**2
+        assert len(calls) == 2 * 14
 
     def test_erratum_notes_present(self):
         rep = census(G49)
