@@ -9,11 +9,9 @@ top-level object with sorted keys, so parse-and-reserialize is idempotent.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import sys
 from collections.abc import Sequence
+from json.encoder import encode_basestring_ascii
 
 from .core import (
     GrassCtx,
@@ -29,7 +27,52 @@ from .singular import richardson_singular_components
 
 
 def to_json(data) -> str:
-    return json.dumps(data, sort_keys=True, indent=2) + "\n"
+    """data as ``json.dumps(data, sort_keys=True, indent=2) + "\\n"``, byte for byte.
+
+    Accepts dicts with str keys, lists, str, int, bool and None; anything
+    else, a float, a tuple or a non-str key among them, raises TypeError.
+    True, False and None are told apart by identity, so a bool is never
+    written as an int.  A list of plain ints is joined once per call and
+    indent, and reused from a dict that lives for this call only: census
+    records repeat few distinct v and w.  tests/test_cli.py::TestToJson
+    pins the bytes against the stdlib call.
+    """
+    ints: dict[tuple, str] = {}
+
+    def enc(x, pad: str) -> str:
+        if x is None:
+            return "null"
+        if x is True:
+            return "true"
+        if x is False:
+            return "false"
+        if isinstance(x, str):
+            return encode_basestring_ascii(x)
+        if isinstance(x, int):
+            return int.__repr__(x)
+        inner = pad + "  "
+        if isinstance(x, list):
+            if not x:
+                return "[]"
+            if set(map(type, x)) == {int}:
+                key = (pad, *x)
+                out = ints.get(key)
+                if out is None:
+                    items = ("," + inner).join(map(int.__repr__, x))
+                    out = ints[key] = "[" + inner + items + pad + "]"
+                return out
+            return "[" + inner + ("," + inner).join([enc(y, inner) for y in x]) + pad + "]"
+        if isinstance(x, dict):
+            if not x:
+                return "{}"
+            # encode_basestring_ascii raises TypeError on a non-str key
+            fields = [
+                encode_basestring_ascii(k) + ": " + enc(v, inner) for k, v in sorted(x.items())
+            ]
+            return "{" + inner + ("," + inner).join(fields) + pad + "}"
+        raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+
+    return enc(data, "\n") + "\n"
 
 
 def _fmt_arg(text: str) -> str:
@@ -120,21 +163,30 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _census_csv(ctx: GrassCtx) -> str:
-    """census's pairs as rows: smooth iff both edge reports are, dimension from entry sums."""
+    """census's pairs as rows: smooth iff both edge reports are, dimension from entry sums.
+
+    The bytes are those of ``csv.writer(buf, lineterminator="\\n")`` with its
+    default QUOTE_MINIMAL: each side's index field is formatted once and
+    quoted iff it holds a comma, so a one-entry index of G(1,n) is bare.
+    tests/test_oracle.py::test_census_equals_per_pair_analyze and
+    tests/test_cli.py::TestCensus::test_csv_quoting pin them.
+    """
     lower, upper = _edge_reports(ctx)
-    side = lambda e, r: (",".join(map(str, e)), sum(e), r.verdict == SMOOTH)
+
+    def side(e, r):
+        text = ",".join(map(str, e))
+        return (f'"{text}"' if "," in text else text), sum(e), r.verdict == SMOOTH
+
     vs = [side(r.pair.v.entries, r) for r in lower]
     ws = [side(r.pair.w.entries, r) for r in upper]
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["k", "n", "v", "w", "dimension", "has_semistable", "smooth"])
     k, n = ctx.k, ctx.n
-    writer.writerows(
-        [k, n, v, w, w_sum - v_sum, "true", "true" if v_ok and w_ok else "false"]
+    rows = ["k,n,v,w,dimension,has_semistable,smooth\n"]
+    rows += [
+        f"{k},{n},{v},{w},{w_sum - v_sum},true,{'true' if v_ok and w_ok else 'false'}\n"
         for v, v_sum, v_ok in vs
         for w, w_sum, w_ok in ws
-    )
-    return buf.getvalue()
+    ]
+    return "".join(rows)
 
 
 def _analysis_text(rep) -> str:

@@ -15,7 +15,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import richgit.oracle
-from richgit import GrassCtx, census
+from helpers import coprime_ctxs
+from richgit import GrassCtx, census, verify
 from richgit.cli import main, to_json
 
 
@@ -152,6 +153,64 @@ def pretty(data):
     return json.dumps(data, sort_keys=True, indent=2) + "\n"
 
 
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**40), max_value=10**40)
+    | st.text()
+    | st.sampled_from(["", "\x00\x1f\x7f", "\\\"/\b\f\n\r\t", "é€😀", "\ud800", "\u2028"])
+)
+JSON_TREES = st.recursive(
+    JSON_SCALARS,
+    lambda kids: st.lists(kids, max_size=5)
+    | st.dictionaries(st.text(max_size=4), kids, max_size=5)
+    # int lists take the memoized path unless a bool or None is among them
+    | st.lists(st.integers(-3, 3) | st.sampled_from([True, False, None]), min_size=1, max_size=4),
+    max_leaves=30,
+)
+INTS = [3, 5, 7, 9]
+
+
+class TestToJson:
+    """cli.to_json writes its own bytes; pretty() above is the stdlib reference."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(JSON_TREES)
+    @example([])
+    @example({})
+    @example({"a": [], "b": {}, "c": [[], {}, [[]], {"d": {}}]})
+    @example([-1, 0, 10**30, -(10**30)])
+    @example(INTS)
+    # the same int list at three depths: the memo key holds the indent
+    @example({"a": INTS, "b": [INTS, [INTS]], "c": {"d": INTS}})
+    # equal to [1, 0] and [3, 5] as keys go, but bools and None are not ints
+    @example([[1, 0], [True, False], [3, 5], [3, None], [None, 5]])
+    @example({"\u00e9": "\x00", "": "\ud83d\ude00", "A": "a\\b\"c"})
+    def test_matches_stdlib(self, data):
+        assert to_json(data) == pretty(data)
+
+    @pytest.mark.parametrize(
+        "data",
+        [1.5, [0.0], {"a": float("nan")}, {1, 2}, [frozenset()], (1, 2), {1: "a"},
+         {"a": 1, 2: "b"}, {None: 1}, {True: 1}, b"x", object()],
+        ids=["float", "float-in-list", "nan", "set", "frozenset", "tuple", "int-key",
+             "mixed-keys", "none-key", "bool-key", "bytes", "object"],
+    )
+    def test_other_types_raise(self, data):
+        with pytest.raises(TypeError):
+            to_json(data)
+
+    @pytest.mark.parametrize("ctx", [*coprime_ctxs(12), GrassCtx(5, 14)], ids=str)
+    def test_census_bytes(self, ctx):
+        data = census(ctx).to_dict()
+        assert to_json(data) == pretty(data)
+
+    def test_verify_bytes(self):
+        data = verify().to_dict()
+        assert to_json(data) == pretty(data)
+
+
 PAIR_COMMANDS = ("analyze", "singular", "render")
 PAIR = ["-k", "4", "-n", "9", "--v", "2,4,5,7", "--w", "3,5,7,9"]
 SMOOTH_PAIR = ["-k", "4", "-n", "9", "--v", "1,2,3,4", "--w", "6,7,8,9"]
@@ -276,6 +335,22 @@ class TestCensus:
             "k,n,v,w,dimension,has_semistable,smooth\n"
             '2,3,"1,2","2,3",2,true,true\n'
         )
+
+    def test_csv_quoting(self, capsys):
+        # csv.writer's QUOTE_MINIMAL quotes a field iff it holds a comma:
+        # G(1,7)'s one-entry indices stay bare, G(4,9)'s are quoted
+        code, out, _ = run_cli(capsys, *census_argv(1, 7, "csv"))
+        assert (code, out) == (0, "k,n,v,w,dimension,has_semistable,smooth\n1,7,1,7,6,true,true\n")
+        code, out, _ = run_cli(capsys, *census_argv(4, 9, "csv"))
+        lines = out.splitlines()
+        assert lines[1:3] == [
+            '4,9,"1,2,3,4","3,5,7,9",14,true,true',
+            '4,9,"1,2,3,4","3,5,8,9",15,true,true',
+        ]
+        assert all(line.count('"') == 4 for line in lines[1:])
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(csv.reader(lines))
+        assert buf.getvalue() == out
 
     def test_csv_lexicographic_order(self, capsys):
         code, out, _ = run_cli(capsys, "census", "-k", "2", "-n", "5", "--format", "csv")
