@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import sys
 from collections.abc import Sequence
-from json.encoder import encode_basestring_ascii
 
 from .core import (
     GrassCtx,
@@ -37,6 +36,9 @@ def to_json(data) -> str:
     records repeat few distinct v and w.  tests/test_cli.py::TestToJson
     pins the bytes against the stdlib call.
     """
+    # imported here: the json package costs every CSV and text run its import
+    from json.encoder import encode_basestring_ascii
+
     ints: dict[tuple, str] = {}
 
     def enc(x, pad: str) -> str:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 from itertools import combinations
 from operator import le, lt
 
@@ -90,23 +89,101 @@ def _require_type(name: str, value: object, cls: type) -> None:
         raise GrassError(f"{name} must be a {cls.__name__}, not {type(value).__name__}")
 
 
+class _Record:
+    """Base of every record class: frozen, slotted, compared by its fields.
+
+    Each subclass is built by _record, which gives it a slot per field it
+    declares and a constructor taking the fields by position or keyword.
+    __match_args__ names the fields in order, inherited ones first.  ==
+    holds between records of one class with equal fields, hash is the
+    hash of the field tuple, and repr is ``Name(field=value, ...)``.
+    Assigning or deleting any attribute raises AttributeError.  copy,
+    deepcopy, pickle and __replace__ (copy.replace on 3.13+) rebuild a
+    record through its validating constructor.
+    """
+
+    __slots__ = ()
+    __match_args__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: {type(self).__name__} is frozen")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} is frozen")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        items = ", ".join(f"{f}={v!r}" for f, v in zip(self.__match_args__, self._values()))
+        return f"{type(self).__qualname__}({items})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+    def __replace__(self, /, **changes: object) -> _Record:
+        return type(self)(**dict(zip(self.__match_args__, self._values()), **changes))
+
+
+def _record(cls: type) -> type:
+    """cls, a _Record subclass, rebuilt with a slot for each field it declares.
+
+    The fields are those of the record cls extends, then the names cls
+    annotates, in order.  Only the names are read: every module here has
+    ``from __future__ import annotations``, so no annotation is evaluated,
+    deferred (3.14) or not.  Like namedtuple, the class gets an __init__
+    compiled for its own fields: it sets each one through its slot
+    descriptor, then calls __post_init__ where the class has one.
+    _values returns the field tuple.
+    """
+    own = tuple(cls.__annotations__)
+    fields = cls.__match_args__ + own
+    ns = dict(vars(cls))
+    ns.pop("__dict__", None)
+    ns.pop("__weakref__", None)
+    ns.update(__slots__=own, __qualname__=cls.__qualname__, __match_args__=fields)
+    new = type(cls.__name__, cls.__bases__, ns)
+    setters = [f"_set_{f}" for f in fields]
+    post = "  self.__post_init__()\n" if hasattr(new, "__post_init__") else ""
+    source = (
+        f"def make({', '.join(setters)}):\n"
+        f" def __init__(self, {', '.join(fields)}):\n"
+        + "".join(f"  {s}(self, {f})\n" for s, f in zip(setters, fields))
+        + post
+        + " def _values(self):\n"
+        + f"  return ({''.join(f'self.{f}, ' for f in fields)})\n"
+        + " return __init__, _values\n"
+    )
+    scope: dict = {}
+    exec(source, scope)
+    init, new._values = scope["make"](*[getattr(new, f).__set__ for f in fields])
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    new.__init__ = init
+    return new
+
+
 class _PairMemo:
-    """One slot, not a dataclass field, that memoizes the minimal pair of a context.
+    """One slot, not a record field, that memoizes the minimal pair of a context.
 
     criteria._minimal_pair fills _minimal the first time it reads a coprime
     context (through the slot descriptor: the frozen __setattr__ refuses
     it) and reads it back on every later call.  The pair points back at its
     context, so the two form a cycle that the garbage collector frees once
     the caller drops the context: no global cache holds either.
-    Equality, hashing, repr, copying, pickling and dataclasses.replace see
-    the fields only: a copy starts with an empty memo.
+    Equality, hashing, repr, copying, pickling and __replace__ see the
+    fields only: a copy starts with an empty memo.
     """
 
     __slots__ = ("_minimal",)
 
 
-@dataclass(frozen=True, slots=True)
-class GrassCtx(_PairMemo):
+@_record
+class GrassCtx(_Record, _PairMemo):
     """The ambient pair (k, n) with 1 <= k < n."""
 
     k: int
@@ -132,8 +209,8 @@ def fmt_tuple(entries: Sequence[int]) -> str:
     return "(" + ",".join(str(e) for e in entries) + ")"
 
 
-@dataclass(frozen=True, slots=True)
-class GrassIndex:
+@_record
+class GrassIndex(_Record):
     """A strictly increasing k-tuple in [1, n], tagged with its context.
 
     Comparisons between indices use the Bruhat (componentwise) order and
@@ -204,7 +281,7 @@ class GrassIndex:
         return fmt_tuple(self.entries)
 
 
-# Every record class of the library is a frozen, slotted dataclass.  The
+# Every record class of the library is a frozen, slotted _Record.  The
 # trusted constructors (_index and _richardson here, diagrams._partition,
 # and the inline setters of criteria.analyze) set the fields through the
 # class's slot descriptors: no __post_init__ check, and no frozen
@@ -246,8 +323,8 @@ def length(w: GrassIndex) -> int:
     return sum(w.entries) - k * (k + 1) // 2
 
 
-@dataclass(frozen=True, slots=True)
-class RichardsonId:
+@_record
+class RichardsonId(_Record):
     """An ordered pair (v, w) with v <= w, naming the nonempty X^v_w."""
 
     v: GrassIndex

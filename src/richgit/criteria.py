@@ -18,7 +18,6 @@ records any disagreement, never silently resolving it.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from operator import le
 
 from .core import (
@@ -28,9 +27,11 @@ from .core import (
     GrassIndex,
     RichardsonId,
     _PairMemo,
+    _Record,
     _fmt_ctx,
     _fmt_int,
     _index,
+    _record,
     _require_type,
     _set_v,
     _set_w,
@@ -60,8 +61,8 @@ class NotCoprime(GrassError):
     """Operation requires gcd(k, n) = 1."""
 
 
-@dataclass(frozen=True, slots=True)
-class MinimalPair:
+@_record
+class MinimalPair(_Record):
     """The minimal semistable-admitting pair of a coprime context.
 
     a holds (a_1, ..., a_k); w_min is a and v_min is (1, a_1, ..., a_{k-1}).
@@ -159,7 +160,7 @@ def _lower_clauses(
     return exact, shortcut
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class ComponentReport(SingularComponent):
     """A singular-locus component (pair, source) with its semistability flag."""
 
@@ -174,8 +175,8 @@ class ComponentReport(SingularComponent):
         }
 
 
-@dataclass(frozen=True, slots=True)
-class AnalysisReport:
+@_record
+class AnalysisReport(_Record):
     """Full verdict record for one pair (v, w).
 
     smooth_by_components and smooth_by_pattern are None when the quotient
@@ -199,7 +200,7 @@ class AnalysisReport:
 
         The flag is has_semistable(component.pair, minimal_pair(ctx)).  A
         new tuple on each read.  As no field holds it, ==, hash, repr,
-        copying, pickling and dataclasses.replace do not see it.
+        copying, pickling and __replace__ do not see it.
         """
         rid = self.pair
         mp = minimal_pair(rid.ctx)

@@ -16,10 +16,8 @@ to the entries of v directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import GrassCtx, GrassError, GrassIndex, RichardsonId, _fmt_ctx, _fmt_int, _index
-from .core import _require_type
+from .core import _record, _Record, _require_type
 
 __all__ = [
     "BoxedPartition",
@@ -30,8 +28,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class BoxedPartition:
+@_record
+class BoxedPartition(_Record):
     """Row lengths of a Young diagram, bottom row first, weakly increasing."""
 
     parts: tuple[int, ...]

@@ -18,7 +18,6 @@ verify aggregates censuses over a context list (default: all coprime
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
 
@@ -26,7 +25,9 @@ from .core import (
     GrassCtx,
     GrassError,
     GrassIndex,
+    _Record,
     _fmt_ctx,
+    _record,
     indices_above,
     indices_below,
 )
@@ -96,8 +97,8 @@ def _hook_oracle_entries(e: tuple[int, ...]) -> set[tuple[int, ...]]:
     return out
 
 
-@dataclass(frozen=True, slots=True)
-class OracleMismatch:
+@_record
+class OracleMismatch(_Record):
     """Disagreement between the hook-removal formula and the cell-set oracle."""
 
     w: GrassIndex
@@ -133,8 +134,8 @@ def oracle_sweep(ctx: GrassCtx) -> tuple[OracleMismatch, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True, slots=True)
-class PatternMismatch:
+@_record
+class PatternMismatch(_Record):
     """Pair where the component criterion and the pattern shortcut disagree."""
 
     v: GrassIndex
@@ -151,8 +152,8 @@ class PatternMismatch:
         }
 
 
-@dataclass(frozen=True, slots=True)
-class CensusReport:
+@_record
+class CensusReport(_Record):
     """Aggregate verdicts over all semistable-admitting pairs of one context."""
 
     ctx: GrassCtx
@@ -301,8 +302,8 @@ GOLDEN_VERDICTS: tuple[tuple[tuple[int, ...], tuple[int, ...], str], ...] = (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class ExampleCheck:
+@_record
+class ExampleCheck(_Record):
     """One reference verdict in G(4,9) replayed against analyze."""
 
     v: tuple[int, ...]
@@ -336,8 +337,8 @@ def default_contexts(max_n: int = 12) -> list[GrassCtx]:
     ]
 
 
-@dataclass(frozen=True, slots=True)
-class VerifyReport:
+@_record
+class VerifyReport(_Record):
     """Machine-readable pass/fail summary over a list of contexts."""
 
     censuses: tuple[CensusReport, ...]

@@ -39,10 +39,9 @@ per component.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import le
 
-from .core import GrassIndex, RichardsonId, _index, _richardson
+from .core import GrassIndex, RichardsonId, _index, _record, _Record, _richardson
 
 __all__ = [
     "OPPOSITE_SIDE",
@@ -57,8 +56,8 @@ SCHUBERT_SIDE = "SCHUBERT_SIDE"
 OPPOSITE_SIDE = "OPPOSITE_SIDE"
 
 
-@dataclass(frozen=True, slots=True)
-class SingularComponent:
+@_record
+class SingularComponent(_Record):
     """One irreducible component of a Richardson singular locus, with its origin."""
 
     pair: RichardsonId

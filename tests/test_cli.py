@@ -777,3 +777,20 @@ def test_tracer_output_matches_untraced(capsys, tmp_path):
     for kids in children.values():
         assert not [k for k in kids if k.startswith("singular.")], kids
     assert "singular.richardson_singular_components" not in {label[n] for n in names}
+
+
+def test_cold_start_loads_no_dataclasses_inspect_or_json():
+    # every CLI run pays for what importing richgit.cli loads; -I -S keep
+    # the environment's site hooks out of the count
+    root = Path(__file__).parent.parent
+    src = root / "src"
+    code = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); import richgit.cli; "
+        "print(*sorted({'dataclasses', 'inspect', 'json', 'json.decoder'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "\n")
+    for path in sorted((src / "richgit").glob("*.py")):
+        assert not re.search(r"^\s*(from|import)\s+dataclasses\b", path.read_text(), re.M), path

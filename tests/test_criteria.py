@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import gc
 import hashlib
 import json
@@ -111,12 +110,10 @@ def pair_memo(ctx):
 
 class TestPairMemo:
     def test_memo_slot_is_not_a_field(self):
-        assert [f.name for f in dataclasses.fields(GrassCtx)] == ["k", "n"]
+        assert GrassCtx.__match_args__ == ("k", "n")
         ctx = GrassCtx(2, 5)
         assert pair_memo(ctx) is None
-        # CPython 3.10-3.13 raise TypeError, not FrozenInstanceError, for a
-        # name that is not a field of a frozen slotted dataclass
-        with pytest.raises((AttributeError, TypeError)):
+        with pytest.raises(AttributeError):
             ctx._minimal = None
         assert pair_memo(ctx) is None
 
@@ -141,7 +138,7 @@ class TestPairMemo:
             copy.copy(filled),
             copy.deepcopy(filled),
             pickle.loads(pickle.dumps(filled)),
-            dataclasses.replace(filled),
+            filled.__replace__(),
         )
         for clone in clones:
             assert clone == filled and pair_memo(clone) is None

@@ -1,16 +1,19 @@
-"""The frozen-record contract of every dataclass in richgit.
+"""The frozen-record contract of every record class in richgit.
 
-Each record class is frozen and slotted: no instance __dict__, no field
-assignment, and the trusted constructors (which set fields through the
-slot descriptors, skipping validation) build exactly what the validated
-constructors build.
+Each record class is a frozen, slotted core._Record: no instance
+__dict__, no assignment, equality and hashing over its fields, copies
+that go through the validating constructor, and trusted constructors
+(which set fields through the slot descriptors, skipping validation)
+that build exactly what the validated constructors build.
 """
 
+from __future__ import annotations
+
 import copy
-import dataclasses
 import importlib
 import pickle
 import pkgutil
+import sys
 
 import pytest
 
@@ -32,7 +35,7 @@ from richgit import (
     to_partition,
     verify,
 )
-from richgit.core import _index, _richardson
+from richgit.core import _index, _record, _Record, _richardson
 from richgit.criteria import AnalysisReport, ComponentReport
 from richgit.diagrams import _partition
 from richgit.oracle import OracleMismatch, PatternMismatch
@@ -43,12 +46,17 @@ V, W = (1, 3, 4, 6), (3, 5, 7, 9)
 
 
 def record_classes():
-    """Every dataclass defined in a richgit module, by qualified name."""
+    """Every _Record subclass defined in a richgit module, by qualified name."""
     found = {}
     for info in pkgutil.iter_modules(richgit.__path__, "richgit."):
         module = importlib.import_module(info.name)
         for obj in vars(module).values():
-            if dataclasses.is_dataclass(obj) and obj.__module__ == module.__name__:
+            if (
+                isinstance(obj, type)
+                and issubclass(obj, _Record)
+                and obj is not _Record
+                and obj.__module__ == module.__name__
+            ):
                 found[f"{obj.__module__}.{obj.__qualname__}"] = obj
     return found
 
@@ -87,16 +95,26 @@ def test_every_record_class_has_a_sample():
 
 def test_component_report_extends_singular_component():
     assert issubclass(ComponentReport, SingularComponent)
-    assert [f.name for f in dataclasses.fields(ComponentReport)] == [
-        "pair", "source", "has_semistable"
-    ]
+    assert ComponentReport.__match_args__ == ("pair", "source", "has_semistable")
+    assert ComponentReport.__slots__ == ("has_semistable",)
 
 
 def test_analysis_report_fields():
-    assert [f.name for f in dataclasses.fields(AnalysisReport)] == [
+    assert AnalysisReport.__match_args__ == (
         "pair", "nonempty", "has_semistable", "smooth_by_components",
         "smooth_by_pattern", "verdict", "dimension",
-    ]
+    )
+
+
+def test_equal_fields_of_another_class_are_unequal():
+    @_record
+    class Twin(_Record):
+        k: int
+        n: int
+
+    twin = Twin(4, 9)
+    assert twin.__match_args__ == G49.__match_args__ and (twin.k, twin.n) == (G49.k, G49.n)
+    assert twin != G49 and G49 != twin
 
 
 def test_copies_read_the_same_components():
@@ -106,7 +124,7 @@ def test_copies_read_the_same_components():
         copy.copy(rep),
         copy.deepcopy(rep),
         pickle.loads(pickle.dumps(rep)),
-        dataclasses.replace(rep),
+        rep.__replace__(),
     )
     assert rep.components
     for clone in clones:
@@ -119,18 +137,33 @@ class TestFrozenSlottedRecord:
         cls = type(record)
         assert "__slots__" in vars(cls)
         assert not hasattr(record, "__dict__")
-        # CPython 3.10-3.13 raise TypeError, not FrozenInstanceError, for a
-        # name that is not a field of a frozen slotted dataclass
-        with pytest.raises((AttributeError, TypeError)):
+        with pytest.raises(AttributeError):
             record.not_a_field = 1
         assert not hasattr(record, "not_a_field")
 
     def test_fields_cannot_be_assigned(self, record):
-        for field in dataclasses.fields(record):
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                setattr(record, field.name, getattr(record, field.name))
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                delattr(record, field.name)
+        for name in type(record).__match_args__:
+            value = getattr(record, name)
+            with pytest.raises(AttributeError):
+                setattr(record, name, object())
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+            assert getattr(record, name) is value
+
+    def test_equality_hash_and_repr_read_every_field(self, record):
+        cls = type(record)
+        values = tuple(getattr(record, name) for name in cls.__match_args__)
+        assert hash(record) == hash(values)
+        assert repr(record) == f"{cls.__qualname__}(" + ", ".join(
+            f"{name}={value!r}" for name, value in zip(cls.__match_args__, values)
+        ) + ")"
+        for changed in cls.__match_args__:
+            # the record with one field swapped for a foreign object, built
+            # through the slot descriptors as the trusted constructors do
+            other = object.__new__(cls)
+            for name, value in zip(cls.__match_args__, values):
+                getattr(cls, name).__set__(other, object() if name == changed else value)
+            assert other != record and record != other
 
     def test_copies_and_pickles_equal(self, record):
         for clone in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
@@ -138,14 +171,17 @@ class TestFrozenSlottedRecord:
             assert repr(clone) == repr(record)
 
     def test_replace_rebuilds_an_equal_record(self, record):
-        clone = dataclasses.replace(record)
-        assert clone == record and hash(clone) == hash(record)
+        clones = [record.__replace__()]
+        if sys.version_info >= (3, 13):
+            clones.append(copy.replace(record))
+        for clone in clones:
+            assert clone == record and hash(clone) == hash(record)
 
 
 def validated(record):
     """record rebuilt by its class's own constructor, field by field."""
     cls = type(record)
-    return cls(**{f.name: getattr(record, f.name) for f in dataclasses.fields(cls)})
+    return cls(**{name: getattr(record, name) for name in cls.__match_args__})
 
 
 def trusted_and_validated():
@@ -203,5 +239,22 @@ def test_trusted_constructor_matches_the_validated_one(name):
 )
 def test_replace_runs_post_init_validation(record, change, error):
     with pytest.raises(error):
-        dataclasses.replace(record, **change)
+        record.__replace__(**change)
+
+
+@pytest.mark.parametrize(
+    "record, error",
+    [
+        (_index((1, 3, 4, 10), G49), GrassError),
+        (_richardson(_index(W, G49), _index(V, G49)), EmptyRichardson),
+        (_partition((0, 1, 1), G49), GrassError),
+    ],
+    ids=["trusted-index", "trusted-richardson", "trusted-partition"],
+)
+def test_copies_run_post_init_validation(record, error):
+    # a trusted record that its validated constructor refuses cannot be
+    # copied or unpickled, as each copy is rebuilt by that constructor
+    for clone in (copy.copy, copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r))):
+        with pytest.raises(error):
+            clone(record)
 
