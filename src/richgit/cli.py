@@ -228,6 +228,13 @@ def _census_text(rep) -> str:
             f"    v={m.v} w={m.w} components={str(m.smooth_by_components).lower()} "
             f"pattern={str(m.smooth_by_pattern).lower()}"
         )
+    if rep.consistency_failures:
+        lines.append(f"  consistency failures: {len(rep.consistency_failures)}")
+    for f in rep.consistency_failures:
+        lines.append(
+            f"    {f.clause} at {f.index}: census={str(f.holds).lower()} "
+            f"oracle={str(not f.holds).lower()}"
+        )
     return "\n".join(lines) + "\n"
 
 
@@ -235,11 +242,13 @@ def _verify_text(rep) -> str:
     lines = []
     for c in rep.censuses:
         status = "ok"
-        if c.mismatches or c.oracle_mismatches:
+        if c.mismatches or c.oracle_mismatches or c.consistency_failures:
             status = (
                 f"{len(c.mismatches)} pattern / {len(c.oracle_mismatches)} oracle "
                 f"mismatch(es)"
             )
+            if c.consistency_failures:
+                status += f", {len(c.consistency_failures)} consistency failure(s)"
         lines.append(
             f"{c.ctx}: pairs={c.total_pairs} smooth={c.smooth_count} "
             f"singular={c.singular_count} [{status}]"

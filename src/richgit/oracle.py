@@ -4,14 +4,18 @@ _hook_oracle_entries recomputes the Schubert singular loci from the cells
 of the diagram, held as one int bitmask per row: valleys and hooks are
 bit operations on neighbouring rows, and entries are recounted from the
 cells left.  It shares none of the hook-removal code, so the two routes
-check each other.  oracle_sweep runs both on entry tuples
-(singular._schubert_walk and _hook_oracle_entries) over all of
-I(k,n), and builds indices only to report a disagreement.
+check each other.  _walk_check runs both on the entry tuple of one index
+(singular._schubert_walk and _hook_oracle_entries), and builds indices
+only to report a disagreement.  oracle_sweep runs it over all of I(k,n),
+for any context.
 
 census covers every pair (v, w) with v <= v_min and w >= w_min of one
 coprime context from analyze on the pairs through (v_min, w_min),
-cross-checking the component criterion against the pattern shortcut and
-the hook-removal formula against the cell-set oracle.
+cross-checking the component criterion against the pattern shortcut.
+On the s = C(n,k)/n indices w >= w_min it also checks the walk against
+the cell oracle, and the clause verdicts it counts, A(w) and B(iota(w)),
+against the oracle's components (_side_check); the full sweep of I(k,n)
+is a test, not part of census.
 verify aggregates censuses over a context list (default: all coprime
 (k, n) with n <= 12) into one deterministic, machine-readable report.
 """
@@ -20,6 +24,7 @@ from __future__ import annotations
 
 from itertools import combinations
 from math import gcd
+from operator import le
 
 from .core import (
     GrassCtx,
@@ -39,6 +44,7 @@ from .criteria import (
     _require_coprime,
     analyze,
 )
+from .diagrams import complement_index
 from .singular import _schubert_walk
 
 __all__ = [
@@ -113,24 +119,36 @@ class OracleMismatch(_Record):
         }
 
 
-def oracle_sweep(ctx: GrassCtx) -> tuple[OracleMismatch, ...]:
-    """Compare formula and oracle components for every w in I(k,n).
+def _walk_check(
+    e: tuple[int, ...], ctx: GrassCtx
+) -> tuple[set[tuple[int, ...]], OracleMismatch | None]:
+    """(oracle components of X(w), their mismatch with the walk's or None), w with entries e.
 
     Both sides run on entry tuples and are compared as sets; validated
     indices, sorted by entries, are built only for a w where they differ.
     """
+    formula = set(_schubert_walk(e))
+    oracle = _hook_oracle_entries(e)
+    if formula == oracle:
+        return oracle, None
+    return oracle, OracleMismatch(
+        w=GrassIndex(e, ctx),
+        formula=tuple([GrassIndex(c, ctx) for c in sorted(formula)]),
+        oracle=tuple([GrassIndex(c, ctx) for c in sorted(oracle)]),
+    )
+
+
+def oracle_sweep(ctx: GrassCtx) -> tuple[OracleMismatch, ...]:
+    """Compare formula and oracle components for every w in I(k,n), in lexicographic order.
+
+    Any context, coprime or not; census checks only the indices its
+    verdicts read (_side_check).
+    """
     out = []
     for e in combinations(range(1, ctx.n + 1), ctx.k):
-        formula = set(_schubert_walk(e))
-        oracle = _hook_oracle_entries(e)
-        if formula != oracle:
-            out.append(
-                OracleMismatch(
-                    w=GrassIndex(e, ctx),
-                    formula=tuple([GrassIndex(c, ctx) for c in sorted(formula)]),
-                    oracle=tuple([GrassIndex(c, ctx) for c in sorted(oracle)]),
-                )
-            )
+        mismatch = _walk_check(e, ctx)[1]
+        if mismatch is not None:
+            out.append(mismatch)
     return tuple(out)
 
 
@@ -153,6 +171,25 @@ class PatternMismatch(_Record):
 
 
 @_record
+class ConsistencyFailure(_Record):
+    """Side index where a clause verdict census counts and the cell oracle disagree.
+
+    clause "A" names w >= w_min and reads A(w) from analyze(v_min, w);
+    clause "B" names v <= v_min and reads B(v) from analyze(v, w_min).
+    holds is that verdict.  The oracle says the opposite: the clause
+    holds iff no oracle component of X(w) is >= w_min, for w = index
+    under A and w = iota(index) under B.
+    """
+
+    clause: str
+    index: GrassIndex
+    holds: bool
+
+    def to_dict(self) -> dict:
+        return {"clause": self.clause, "index": list(self.index.entries), "holds": self.holds}
+
+
+@_record
 class CensusReport(_Record):
     """Aggregate verdicts over all semistable-admitting pairs of one context."""
 
@@ -162,6 +199,7 @@ class CensusReport(_Record):
     singular_count: int
     mismatches: tuple[PatternMismatch, ...]
     oracle_mismatches: tuple[OracleMismatch, ...]
+    consistency_failures: tuple[ConsistencyFailure, ...]
     erratum_notes: tuple[str, ...]
 
     def to_dict(self) -> dict:
@@ -173,8 +211,7 @@ class CensusReport(_Record):
             "singular_count": self.singular_count,
             "mismatches": [m.to_dict() for m in self.mismatches],
             "oracle_mismatches": [m.to_dict() for m in self.oracle_mismatches],
-            # census/verify JSON stays byte-identical: perfbench/goldens.json pins its sha256
-            "consistency_failures": [],
+            "consistency_failures": [f.to_dict() for f in self.consistency_failures],
             "erratum_notes": list(self.erratum_notes),
         }
 
@@ -184,11 +221,13 @@ class CensusReport(_Record):
 MAX_PAIRS = 2**20
 
 
-# Most cells one census's oracle_sweep visits: C(n,k) indices, each a
-# k x (n-k) grid of cells.  G(7,16) has 720,720.  The largest admitted
-# k = 2 context, G(2,257), has 16,776,960, and its sweep took 0.35-0.40 s
-# in a fresh process (Python 3.11.7, shared 2-core Xeon VM); G(2,259) is
-# refused.
+# Most cells of I(k,n) a census admits: C(n,k) indices, each a k x (n-k)
+# grid of cells.  G(7,16) has 720,720; the largest admitted k = 2
+# context, G(2,257), has 16,776,960, and G(2,259) is refused.  census
+# runs the cell oracle on the s = C(n,k)/n indices w >= w_min only, so
+# the bound is n times what it visits; it is kept on C(n,k), as it was
+# set when census swept all of I(k,n) (0.35-0.40 s for G(2,257) in a
+# fresh process, Python 3.11.7, shared 2-core Xeon VM).
 MAX_SWEEP_CELLS = 2**24
 
 
@@ -220,8 +259,9 @@ def _check_pairs(ctx: GrassCtx) -> int:
 
 
 def _check_census(ctx: GrassCtx) -> None:
-    """Every check census makes before any work: _check_pairs, then the sweep size.
+    """Every check census makes before any work: _check_pairs, then the cells of I(k,n).
 
+    The refusal keeps its wording from when census swept all of I(k,n).
     Past MAX_SWEEP_CELLS indices (k = 1 admits any n) the cells are not spelled out.
     """
     indices = _check_pairs(ctx)
@@ -249,11 +289,44 @@ def _edge_reports(ctx: GrassCtx) -> tuple[list[AnalysisReport], list[AnalysisRep
     )
 
 
+def _side_check(
+    ctx: GrassCtx, lower: list[AnalysisReport], upper: list[AnalysisReport]
+) -> tuple[tuple[OracleMismatch, ...], tuple[ConsistencyFailure, ...]]:
+    """Walk mismatches and clause failures on the side indices of _edge_reports.
+
+    For each w >= w_min, in upper's order, _walk_check compares the walk
+    with the cell oracle, and A(w) (analyze(v_min, w) is SMOOTH) must hold
+    iff no oracle component is >= w_min, by analyze's lemma.  For each
+    v <= v_min, in lower's order, B(v) (analyze(v, w_min) by components)
+    must hold iff the same is true of w = iota(v): iota, complement_index,
+    reverses the Bruhat order and swaps v_min and w_min, and the opposite
+    components of X^v are the iota-images of the Schubert components of
+    X(iota(v)).  So the oracle runs once on each of the s indices w.
+    """
+    a = _minimal_pair(ctx).a
+    walk, failures = [], []
+    clean = {}
+    for r in upper:
+        w = r.pair.w
+        oracle, mismatch = _walk_check(w.entries, ctx)
+        if mismatch is not None:
+            walk.append(mismatch)
+        holds = r.verdict == SMOOTH
+        clean[w.entries] = not any(all(map(le, a, c)) for c in oracle)
+        if holds != clean[w.entries]:
+            failures.append(ConsistencyFailure("A", w, holds))
+    for r in lower:
+        holds = r.smooth_by_components
+        if holds != clean[complement_index(r.pair.v).entries]:
+            failures.append(ConsistencyFailure("B", r.pair.v, holds))
+    return tuple(walk), tuple(failures)
+
+
 def census(ctx: GrassCtx) -> CensusReport:
     """Verdicts of every pair with v <= v_min and w >= w_min, v-major.
 
     Raises what _check_census raises before any work: NotCoprime, or
-    GrassError when the pairs or the oracle sweep exceed their bounds.
+    GrassError when the pairs or the cells of I(k,n) exceed their bounds.
     analyze runs on the 2s edge pairs of _edge_reports only (s = C(n,k)/n).
     In analyze's terms (v, w) is smooth by components iff A(w) and B(v),
     by pattern iff A(w) and P(v), and A(w_min), B(v_min), P(v_min) hold:
@@ -261,6 +334,8 @@ def census(ctx: GrassCtx) -> CensusReport:
       analyze(v_min, w) is SMOOTH iff A(w);
       so (v, w) is SMOOTH iff both are, and a mismatch, with the flags
       of analyze(v, w_min), iff that is one and A(w) holds.
+    _side_check then checks those A and B verdicts, and the walk they
+    rest on, against the cell oracle at every side index.
     """
     _check_census(ctx)
     lower, upper = _edge_reports(ctx)
@@ -273,7 +348,7 @@ def census(ctx: GrassCtx) -> CensusReport:
         if r.mismatch
         for w in ws
     ]
-    oracle_mismatches = oracle_sweep(ctx)
+    oracle_mismatches, failures = _side_check(ctx, lower, upper)
     notes = list(ERRATUM_NOTES)
     if mismatches:
         notes.append(
@@ -290,6 +365,7 @@ def census(ctx: GrassCtx) -> CensusReport:
         singular_count=total - smooth,
         mismatches=tuple(mismatches),
         oracle_mismatches=oracle_mismatches,
+        consistency_failures=failures,
         erratum_notes=tuple(notes),
     )
 
@@ -367,9 +443,10 @@ def verify(ctxs: list[GrassCtx] | None = None) -> VerifyReport:
     """Run census on each context plus the G(4,9) reference verdicts.
 
     Deterministic: identical inputs produce identical reports.  passed is
-    False as soon as any census records a mismatch of either kind or any
-    reference verdict fails to reproduce.  ctxs may be any iterable, and
-    it is read once; one that is not iterable raises GrassError naming it.
+    False as soon as any census records a mismatch of either kind or a
+    consistency failure, or any reference verdict fails to reproduce.
+    ctxs may be any iterable, and it is read once; one that is not
+    iterable raises GrassError naming it.
     Every context passes census's checks before the first census runs, so
     a refused context costs no work on the others.
     """
@@ -388,7 +465,7 @@ def verify(ctxs: list[GrassCtx] | None = None) -> VerifyReport:
             for v, w, exp in GOLDEN_VERDICTS
         )
     passed = all(
-        not c.mismatches and not c.oracle_mismatches for c in censuses
+        not (c.mismatches or c.oracle_mismatches or c.consistency_failures) for c in censuses
     ) and all(e.ok for e in examples)
     return VerifyReport(censuses=censuses, examples=examples, passed=passed)
 

@@ -410,7 +410,7 @@ class TestCensus:
     def test_sweep_guard_exit_2(self, capsys, monkeypatch, fmt):
         # G(2,259) passes the pair guard; its oracle sweep is refused
         monkeypatch.setattr(richgit.oracle, "analyze", refuse_analyze)
-        monkeypatch.setattr(richgit.oracle, "oracle_sweep", refuse_analyze)
+        monkeypatch.setattr(richgit.oracle, "_side_check", refuse_analyze)
         code, out, err = run_cli(capsys, "census", "-k", "2", "-n", "259", "--format", fmt)
         assert code == 2
         assert out == ""
@@ -429,7 +429,7 @@ class TestCensus:
     def test_gap_product_guard_exit_2(self, capsys, monkeypatch, argv):
         # named for the guard's old lower bound; C(n,2) already passes the cap here
         monkeypatch.setattr(richgit.oracle, "analyze", refuse_analyze)
-        monkeypatch.setattr(richgit.oracle, "oracle_sweep", refuse_analyze)
+        monkeypatch.setattr(richgit.oracle, "_side_check", refuse_analyze)
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""
@@ -479,7 +479,7 @@ class TestCensus:
         # a count is named only below 2**48, and k, n or an entry in full only up
         # to 20 digits (Python refuses to print ints of more than 4,300 digits)
         monkeypatch.setattr(richgit.oracle, "analyze", refuse_analyze)
-        monkeypatch.setattr(richgit.oracle, "oracle_sweep", refuse_analyze)
+        monkeypatch.setattr(richgit.oracle, "_side_check", refuse_analyze)
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""
@@ -763,11 +763,15 @@ def test_tracer_output_matches_untraced(capsys, tmp_path):
         names.fromfile(fh, meta["spans"])
         parents.fromfile(fh, meta["spans"])
     label = meta["names"]
-    sweeps = [i for i, n in enumerate(names) if label[n] == "oracle.oracle_sweep"]
-    assert [label[names[parents[i]]] for i in sweeps] == ["oracle.census"]
-    # the sweep runs on entry tuples: no public oracle or formula runs under it
+    # a census runs no full sweep of I(k,n); its side check runs on entry
+    # tuples, so under the census span no public oracle or formula runs
     # (test_oracle.py::TestOracleSweep counts its calls of the tuple oracle)
-    assert not any(p in sweeps for p in parents)
+    assert "oracle.oracle_sweep" not in {label[n] for n in names}
+    (census_span,) = [i for i, n in enumerate(names) if label[n] == "oracle.census"]
+    assert {label[n] for n, p in zip(names, parents) if p == census_span} == {
+        "core.indices_below", "core.indices_above", "criteria.analyze",
+        "diagrams.complement_index",
+    }
     analyzes = [i for i, n in enumerate(names) if label[n] == "criteria.analyze"]
     children = {i: [] for i in analyzes}
     for n, p in zip(names, parents):

@@ -219,9 +219,84 @@ class TestOracleSweep:
                 assert oracle_sweep(GrassCtx(k, n)) == ()
                 assert len(calls) == len(set(calls)) == comb(n, k), (k, n)
                 assert all(len(e) == k and e[-1] <= n for e in calls)
+        # a census runs the oracle on its side indices w >= w_min only, each
+        # once and in order: s = C(n,k)/n per context, 431 for n <= 12
         calls.clear()
         assert verify().oracle_mismatch_total == 0
-        assert len(calls) == sum(comb(c.n, c.k) for c in default_contexts())
+        assert calls == [
+            w.entries for c in default_contexts() for w in indices_above(minimal_pair(c).w_min)
+        ]
+        assert len(calls) == sum(side_size(c) for c in default_contexts()) == 431
+
+
+def break_upper_clause(monkeypatch):
+    monkeypatch.setattr(richgit.criteria, "_upper_clause", lambda b, a: True)
+
+
+def flip_exact_flag(monkeypatch):
+    real = richgit.criteria._lower_clauses
+
+    def flipped(c, v_min, a):
+        exact, shortcut = real(c, v_min, a)
+        return not exact, shortcut
+
+    monkeypatch.setattr(richgit.criteria, "_lower_clauses", flipped)
+
+
+def flag_w_min(monkeypatch):
+    # A(w_min) holds; the fake oracle gives X(w_min) a component >= w_min
+    real = richgit.oracle._hook_oracle_entries
+
+    def oracle(e):
+        out = real(e)
+        if e == (3, 5, 7, 9):
+            out.add((3, 5, 7, 9))
+        return out
+
+    monkeypatch.setattr(richgit.oracle, "_hook_oracle_entries", oracle)
+
+
+def failure(clause, index, holds):
+    return {"clause": clause, "index": list(index), "holds": holds}
+
+
+class TestSideCheck:
+    def test_patch_targets_are_what_census_calls(self, monkeypatch):
+        # the refuse-before-work tests patch these two names; each must be live
+        for name in ("analyze", "_side_check"):
+            with monkeypatch.context() as m:
+                m.setattr(richgit.oracle, name, refuse)
+                with pytest.raises(AssertionError, match="before every check passed"):
+                    census(G49)
+
+    @pytest.mark.parametrize(
+        "breakage, expected",
+        [
+            (break_upper_clause, [failure("A", (5, 7, 8, 9), True)]),
+            (
+                flip_exact_flag,
+                # B(v_min) flips too, so analyze(v_min, w) says SINGULAR for every w
+                [failure("A", w.entries, False) for w in indices_above(idx((3, 5, 7, 9)))
+                 if w.entries != (5, 7, 8, 9)]
+                + [failure("B", v.entries, v.entries == (1, 2, 3, 5))
+                   for v in indices_below(idx((1, 3, 5, 7)))],
+            ),
+            (flag_w_min, [failure("A", (3, 5, 7, 9), True), failure("B", (1, 3, 5, 7), True)]),
+        ],
+        ids=["upper-clause-true", "exact-flag-flipped", "oracle-flags-w_min"],
+    )
+    def test_a_broken_clause_or_oracle_fails_verify(self, monkeypatch, capsys, breakage, expected):
+        breakage(monkeypatch)
+        assert [f.to_dict() for f in census(G49).consistency_failures] == expected
+        assert verify([G49]).passed is False
+        assert main(["verify", "--ctx", "4,9"]) == 1
+        assert f", {len(expected)} consistency failure(s)]\n" in capsys.readouterr().out
+        assert main(["verify", "--ctx", "4,9", "--format", "json"]) == 1
+        data = json.loads(capsys.readouterr().out)
+        assert data["contexts"][0]["consistency_failures"] == expected
+        assert data["passed"] is False
+        assert main(["census", "-k", "4", "-n", "9"]) == 0
+        assert f"\n  consistency failures: {len(expected)}\n" in capsys.readouterr().out
 
 
 class TestCensus:
@@ -330,7 +405,7 @@ class TestCensus:
     def test_gap_product_refuses_before_the_count(self, monkeypatch, capsys):
         # named for the guard's old lower bound; C(n,2) already passes the cap here
         monkeypatch.setattr(richgit.oracle, "analyze", refuse)
-        monkeypatch.setattr(richgit.oracle, "oracle_sweep", refuse)
+        monkeypatch.setattr(richgit.oracle, "_side_check", refuse)
         monkeypatch.setattr(richgit.oracle, "indices_below", refuse)
         monkeypatch.setattr(richgit.oracle, "indices_above", refuse)
         ctx = GrassCtx(3, 3000001)
@@ -350,7 +425,9 @@ class TestCensus:
         assert side_size(GrassCtx(7, 16)) ** 2 == 511225 <= MAX_PAIRS
         assert _check_pairs(GrassCtx(7, 16)) == comb(16, 7)
         rep = census(GrassCtx(7, 16))
-        assert (rep.total_pairs, rep.oracle_mismatches) == (511225, ())
+        assert (rep.total_pairs, rep.oracle_mismatches, rep.consistency_failures) == (
+            511225, (), ()
+        )
 
     def test_refusals_build_no_minimal_pair(self, monkeypatch, capsys):
         # _minimal_pair, minimal_pair's builder, builds three k-entry
@@ -374,7 +451,7 @@ class TestCensus:
     def test_sweep_guard_refuses_before_any_work(self, monkeypatch):
         # G(2,259) has only 129 ** 2 pairs, but C(259,2) * 2 * 257 sweep cells
         monkeypatch.setattr(richgit.oracle, "analyze", refuse)
-        monkeypatch.setattr(richgit.oracle, "oracle_sweep", refuse)
+        monkeypatch.setattr(richgit.oracle, "_side_check", refuse)
         with pytest.raises(
             GrassError, match=r"G\(2,259\) has 17,173,254 oracle sweep cells .* at most 16,777,216"
         ):
@@ -414,6 +491,7 @@ class TestCensus:
             total, smooth, total - smooth
         )
         assert rep.mismatches == mismatches
+        assert (rep.oracle_mismatches, rep.consistency_failures) == ((), ())
         assert _census_csv(ctx) == rows
 
     def test_census_analyzes_the_edges_only(self, monkeypatch, capsys):
@@ -465,7 +543,7 @@ class TestVerify:
     )
     def test_checks_every_context_before_any_census(self, monkeypatch, ctxs, message):
         monkeypatch.setattr(richgit.oracle, "analyze", refuse)
-        monkeypatch.setattr(richgit.oracle, "oracle_sweep", refuse)
+        monkeypatch.setattr(richgit.oracle, "_side_check", refuse)
         with pytest.raises(GrassError, match=message):
             verify([GrassCtx(k, n) for k, n in ctxs])
 

@@ -38,7 +38,7 @@ from richgit import (
 from richgit.core import _index, _record, _Record, _richardson
 from richgit.criteria import AnalysisReport, ComponentReport
 from richgit.diagrams import _partition
-from richgit.oracle import OracleMismatch, PatternMismatch
+from richgit.oracle import ConsistencyFailure, OracleMismatch, PatternMismatch
 
 from helpers import G49
 
@@ -79,6 +79,7 @@ def samples():
         singular.components[0],
         rep,
         OracleMismatch(w=w, formula=(v,), oracle=()),
+        ConsistencyFailure(clause="A", index=w, holds=False),
         mismatch,
         census(G49),
         report.examples[0],

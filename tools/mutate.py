@@ -11,7 +11,10 @@ Each mutant changes one token of one file:
 Each is written into one temporary copy of the checkout, where
 ``python -m pytest -x -q`` runs tier-1 against it.  A mutant is killed
 when that run fails, and survives when it passes; a run that passes the
-per-mutant timeout (default 300 s) is stopped and reported as a timeout.
+per-mutant timeout is stopped and reported as a timeout.  That timeout
+is three times the unmutated copy's own run, and at least 60 s, so a
+mutant that makes a loop spin costs a few tier-1 runs, not a fixed
+wait; --timeout S sets it instead, and bounds the unmutated run too.
 The script prints one line per mutant and then the survivors, and exits
 with 1 if any mutant survives.  It needs only the standard library and is
 not part of tier-1: each mutant costs up to one tier-1 run.
@@ -39,6 +42,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 from typing import NamedTuple
 
@@ -143,7 +147,11 @@ def run(copy: Path, mutant: Mutant | None, pytest_args: list[str], timeout: floa
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("files", nargs="+", help="Python files of the checkout to mutate")
-    parser.add_argument("--timeout", type=float, default=300.0, help="seconds per mutant")
+    parser.add_argument(
+        "--timeout",
+        type=float,
+        help="seconds per mutant (default: 3 times the unmutated run, at least 60)",
+    )
     args = parser.parse_args(argv)
     root = Path(__file__).resolve().parent.parent
     paths = [Path(f).resolve().relative_to(root).as_posix() for f in args.files]
@@ -152,11 +160,15 @@ def main(argv: list[str] | None = None) -> int:
     outcomes = {}
     with tempfile.TemporaryDirectory() as tmp:
         copy = copy_checkout(root, Path(tmp))
-        if run(copy, None, [], args.timeout) != "survived":
+        # without --timeout the unmutated run may take up to half an hour
+        start = time.monotonic()
+        if run(copy, None, [], args.timeout or 1800.0) != "survived":
             print("tier-1 fails on the unmutated copy; nothing to compare against")
             return 2
+        timeout = args.timeout or max(60.0, 3 * (time.monotonic() - start))
+        print(f"per-mutant timeout {timeout:.0f} s", flush=True)
         for i, mutant in enumerate(todo, 1):
-            outcomes[mutant] = run(copy, mutant, [], args.timeout)
+            outcomes[mutant] = run(copy, mutant, [], timeout)
             print(f"[{i}/{len(todo)}] {outcomes[mutant]:8} {mutant}", flush=True)
     survivors = [m for m, outcome in outcomes.items() if outcome == "survived"]
     timeouts = sum(outcome == "timeout" for outcome in outcomes.values())
