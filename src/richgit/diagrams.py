@@ -5,13 +5,13 @@ An index w in I(k,n) corresponds to the weakly increasing part sequence
 Young diagram holds parts[i] left-justified boxes.  That single internal
 convention is used everywhere; rendering flips rows only at output time.
 Valleys and hook removal are read off the entries of the index directly
-by the valley walks of the singular module, so the singular-locus code
+by the valley walk of the singular module, so the singular-locus code
 needs no partition.
 
 Opposite diagrams (the right-anchored complements of ordinary diagrams)
-are never built: complement_index maps them to ordinary ones, and the
-singular module's opposite-side walk applies the complemented hook rule
-to the entries of v directly.
+are never built: the involution iota, _iota on entries and
+complement_index on indices, maps them to ordinary ones, and the
+singular module reads the opposite side through _iota.
 """
 
 from __future__ import annotations
@@ -83,17 +83,28 @@ def from_partition(p: BoxedPartition) -> GrassIndex:
     return _index(tuple(part + i for i, part in enumerate(p.parts, start=1)), p.ctx)
 
 
+def _iota(e: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """Entries of iota(u) for the entries e of an index u of I(k,n).
+
+    The one complement formula: iota(u)_i = n + 1 - u_{k+1-i}.
+    """
+    m = n + 1
+    return tuple([m - x for x in reversed(e)])
+
+
 def complement_index(v: GrassIndex) -> GrassIndex:
-    """The involution v'_i = n + 1 - v_{k+1-i}.
+    """The involution iota: v'_i = n + 1 - v_{k+1-i}, computed by _iota.
 
     It reverses the Bruhat order and flips the Young diagram: the diagram
     of v' is the 180-degree rotation of the complement of the diagram of v
     inside the rectangle.  The opposite Schubert variety X^v is isomorphic
-    to the Schubert variety X(v'); the singular module's opposite-side
-    walk applies that to the entries of v without building v'.
+    to the Schubert variety X(v'), so the singular module gets the
+    opposite-side components of v as the iota-images of the Schubert-side
+    components of v'.  A v that is not a GrassIndex raises GrassError
+    naming its type.
     """
-    m = v.ctx.n + 1
-    return _index(tuple([m - x for x in reversed(v.entries)]), v.ctx)
+    _require_type("v", v, GrassIndex)
+    return _index(_iota(v.entries, v.ctx.n), v.ctx)
 
 
 def render_skew(rid: RichardsonId) -> str:

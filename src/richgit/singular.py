@@ -6,28 +6,25 @@ removing the hook through that valley.  In terms of the part sequence
 substitution: the r - 1 components replace the adjacent runs
 p_i^{q_i}, p_{i+1}^{q_{i+1}} with (p_i - 1)^{q_i + 1}, p_{i+1}^{q_{i+1} - 1}.
 It is computed on the entries of w (0-based) by one valley walk,
-_schubert_walk.  Equal rows of the diagram are runs of consecutive
-entries, so row j is a valley row exactly when w_j > w_{j-1} + 1 (row j
-is longer than row j-1) and w_{j-1} > j (row j-1 holds a box).  With
-rows s..j-1 the run just below, removing the hook makes entries s..j the
-consecutive run w_s - 1, ..., w_{j-1}: w_j leaves and w_s - 1 enters.
+_schubert_walk, the only implementation of hook removal.  Equal rows of
+the diagram are runs of consecutive entries, so row j is a valley row
+exactly when w_j > w_{j-1} + 1 (row j is longer than row j-1) and
+w_{j-1} > j (row j-1 holds a box).  With rows s..j-1 the run just below,
+removing the hook makes entries s..j the consecutive run
+w_s - 1, ..., w_{j-1}: w_j leaves and w_s - 1 enters.
 
-Opposite side: X^v is isomorphic to X(v^c) for the complemented index
-v^c, so its components are the complements of the Schubert-side
-components of v^c.  _opposite_walk applies that rule mirrored on the
-entries of v, with no complement: scanning J from k-2 down to 0, a gap
-v_{J+1} > v_J + 1 with v_{J+1} <= n + 1 - k + J is a valley of v^c, and
-with rows J+1..t the run just above, the component v' makes entries
-J..t the consecutive run v_{J+1}, ..., v_t + 1: v_J leaves and v_t + 1
-enters, in the order of the valleys of v^c.  The complement route is
-its test reference.
+Opposite side: X^v is isomorphic to X(iota(v)) for the involution
+iota(u)_i = n + 1 - u_{k+1-i} (diagrams._iota), so its components are
+the iota-images of the Schubert-side components of iota(v), in the same
+order.  opposite_singular_components reads them that way: _iota, then
+_schubert_walk, then _iota on each component.
 
-Each walk returns the entry tuples of its components, and
+The walk returns the entry tuples of its components, and
 schubert_singular_components and opposite_singular_components build a
 new tuple of indices from them on each call; nothing is memoized.  The
-walks are the component listing only: criteria.analyze decides its
+walk is the component listing only: criteria.analyze decides its
 verdict from two clauses on consecutive entries, which its docstring
-derives from these walks and the tests check against them.
+derives from the walk and iota and the tests check against them.
 
 Richardson: the singular locus of X^v_w is the union of the Schubert-side
 components intersected with X^v and the opposite-side components
@@ -42,6 +39,8 @@ from __future__ import annotations
 from operator import le
 
 from .core import GrassIndex, RichardsonId, _index, _record, _Record, _richardson
+from .core import _require_type
+from .diagrams import _iota
 
 __all__ = [
     "OPPOSITE_SIDE",
@@ -68,7 +67,8 @@ def _schubert_walk(e: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """Entries w' of the Schubert-side components, bottom valley first.
 
     e holds the entries of w; each w' is in the I(k,n) of e.  The only
-    place hook removal makes Schubert-side components.
+    implementation of hook removal: opposite_singular_components reads
+    it through _iota.
     """
     out = []
     s = 0
@@ -81,31 +81,14 @@ def _schubert_walk(e: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def _opposite_walk(e: tuple[int, ...], n: int) -> tuple[tuple[int, ...], ...]:
-    """Entries v' of the opposite-side components of v in I(k,n).
-
-    e holds the entries of v; the mirrored rule of the module docstring,
-    top gap first.  The only place opposite-side components are made.
-    """
-    out = []
-    k = len(e)
-    t = k - 1
-    top = n + 1 - k
-    for J in range(k - 2, -1, -1):
-        y = e[J + 1]
-        if y > e[J] + 1:
-            if y <= top + J:
-                out.append(e[:J] + e[J + 1 : t + 1] + (e[t] + 1,) + e[t + 1 :])
-            t = J
-    return tuple(out)
-
-
 def schubert_singular_components(w: GrassIndex) -> tuple[GrassIndex, ...]:
     """Indices of the r - 1 singular-locus components of X(w).
 
     Empty when the part sequence has at most one nonzero run (X(w) smooth).
     Components are ordered by the valley they remove, bottom row first.
+    A w that is not a GrassIndex raises GrassError naming its type.
     """
+    _require_type("w", w, GrassIndex)
     ctx = w.ctx
     return tuple([_index(c, ctx) for c in _schubert_walk(w.entries)])
 
@@ -113,11 +96,14 @@ def schubert_singular_components(w: GrassIndex) -> tuple[GrassIndex, ...]:
 def opposite_singular_components(v: GrassIndex) -> tuple[GrassIndex, ...]:
     """Indices v' of the singular-locus components X^{v'} of X^v.
 
-    The complements of the Schubert-side components of the complement of v,
-    in the same order.
+    The iota-images of the Schubert-side components of iota(v), in the
+    same order.  A v that is not a GrassIndex raises GrassError naming
+    its type.
     """
+    _require_type("v", v, GrassIndex)
     ctx = v.ctx
-    return tuple([_index(c, ctx) for c in _opposite_walk(v.entries, ctx.n)])
+    n = ctx.n
+    return tuple([_index(_iota(c, n), ctx) for c in _schubert_walk(_iota(v.entries, n))])
 
 
 def richardson_singular_components(
@@ -129,10 +115,12 @@ def richardson_singular_components(
     v <= w', then the pairs (v', w) for opposite-side components v' of v
     with v' <= w.  Empty for smooth Richardson varieties.  No pair repeats:
     the w' are distinct (one per valley) and strictly below w, and the v'
-    are distinct (complements of distinct indices) while keeping w.  All
+    are distinct (iota-images of distinct indices) while keeping w.  All
     of these indices share rid's context, so the v <= w' and v' <= w tests
-    compare entries directly.
+    compare entries directly.  A rid that is not a RichardsonId raises
+    GrassError naming its type.
     """
+    _require_type("rid", rid, RichardsonId)
     v, w = rid.v, rid.w
     ve, we = v.entries, w.entries
     schubert = [

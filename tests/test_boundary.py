@@ -168,6 +168,13 @@ class TestBoundaryChecks:
                 ),
                 "mp must be a MinimalPair, not tuple",
             ),
+            (lambda: schubert_singular_components((3, 5)), "w must be a GrassIndex, not tuple"),
+            (lambda: opposite_singular_components((1, 3)), "v must be a GrassIndex, not tuple"),
+            (
+                lambda: richardson_singular_components(((1, 3), (3, 5))),
+                "rid must be a RichardsonId, not tuple",
+            ),
+            (lambda: complement_index((1, 3)), "v must be a GrassIndex, not tuple"),
             # an unhashable ctx once failed inside minimal_pair's cache
             (lambda: minimal_pair([2, 5]), "ctx must be a GrassCtx, not list"),
             # a duck-typed context once passed every entry point but BoxedPartition
@@ -183,7 +190,9 @@ class TestBoundaryChecks:
         ],
         ids=["index-ctx", "partition-ctx", "pair-v", "pair-w", "analyze-ctx", "census-ctx",
              "minimal-pair-ctx", "verify-ctx", "make-index-values", "analyze-v",
-             "has-semistable-rid", "has-semistable-mp", "minimal-pair-list-ctx",
+             "has-semistable-rid", "has-semistable-mp", "schubert-components-w",
+             "opposite-components-v", "richardson-components-rid", "complement-index-v",
+             "minimal-pair-list-ctx",
              "index-duck-ctx", "make-index-duck-ctx", "analyze-duck-ctx",
              "minimal-pair-duck-ctx", "census-duck-ctx", "verify-duck-ctx",
              "verify-generator-duck-ctx", "verify-one-ctx"],

@@ -41,7 +41,7 @@ from richgit import (
 )
 from richgit.cli import main
 from richgit.criteria import _lower_clauses, _upper_clause
-from richgit.singular import _opposite_walk, _schubert_walk
+from richgit.singular import _schubert_walk
 
 from helpers import G49, coprime_ctxs, idx
 
@@ -217,8 +217,8 @@ class TestClauses:
                 assert _upper_clause(w.entries, a) is not flagged, (ctx, w)
                 indices += 1
             for v in indices_below(mp.v_min):
-                walk = _opposite_walk(v.entries, ctx.n)
-                flagged = any(all(map(le, c, v_min)) for c in walk)
+                comps = opposite_singular_components(v)
+                flagged = any(all(map(le, c.entries, v_min)) for c in comps)
                 assert _lower_clauses(v.entries, v_min, a)[0] is not flagged, (ctx, v)
                 indices += 1
         assert indices == 2 * 4505

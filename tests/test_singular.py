@@ -25,7 +25,8 @@ from richgit import (
 from richgit import singular
 from richgit.core import _index
 from richgit.oracle import _hook_oracle_entries
-from richgit.singular import _opposite_walk, _schubert_walk
+from richgit.diagrams import _iota
+from richgit.singular import _schubert_walk
 
 from helpers import G49, all_small_ctxs, idx, runs
 
@@ -120,21 +121,13 @@ class TestOppositeComponents:
                 assert opposite_singular_components(v) == slow, v
 
     def test_mirrored_walk_on_entries(self):
-        # the complement-free opposite walk on every index with n <= 14:
-        # against its definition (complement, Schubert walk, complement
-        # back), order included, and as a set against the cell oracle on
-        # the complement; each component swaps one entry of v for another
+        # every index with n <= 14: as a set against the cell oracle read
+        # through iota, and each component swaps one entry of v for another
         for ctx in all_small_ctxs(14):
             n = ctx.n
-
-            def complement(e):
-                return complement_index(_index(e, ctx)).entries
-
             for e in combinations(range(1, n + 1), ctx.k):
-                got = list(_opposite_walk(e, n))
-                ec = complement(e)
-                assert got == [complement(c) for c in _schubert_walk(ec)], e
-                assert set(got) == {complement(c) for c in _hook_oracle_entries(ec)}, e
+                got = [c.entries for c in opposite_singular_components(_index(e, ctx))]
+                assert set(got) == {_iota(c, n) for c in _hook_oracle_entries(_iota(e, n))}, e
                 assert all(len(set(c) - set(e)) == 1 for c in got), e
 
     def test_box_counts_grow_by_hook_size(self):
@@ -237,11 +230,14 @@ def test_no_function_has_an_lru_cache():
 
 
 def test_components_are_the_walks():
+    # the opposite side is the Schubert walk read through iota on both ends
     for ctx in all_small_ctxs(10):
+        n = ctx.n
         for u in enumerate_indices(ctx):
+            opposite = tuple(_iota(c, n) for c in _schubert_walk(_iota(u.entries, n)))
             for public, walk in (
                 (schubert_singular_components, _schubert_walk(u.entries)),
-                (opposite_singular_components, _opposite_walk(u.entries, ctx.n)),
+                (opposite_singular_components, opposite),
             ):
                 assert type(walk) is tuple
                 comps = public(u)
@@ -254,19 +250,15 @@ def test_components_are_the_walks():
 
 def test_analyze_and_census_call_no_walk(monkeypatch):
     # the verdicts come from the clauses on entries; only reading a
-    # report's components walks.  oracle binds _schubert_walk under its own
-    # name, so census's oracle sweep still runs.
+    # report's components walks, once per side.  oracle binds
+    # _schubert_walk under its own name, so census's oracle sweep still runs.
     walked = []
 
-    def counting(walk):
-        def counted(*args):
-            walked.append(args[0])
-            return walk(*args)
+    def counted(e):
+        walked.append(e)
+        return _schubert_walk(e)
 
-        return counted
-
-    monkeypatch.setattr(singular, "_schubert_walk", counting(_schubert_walk))
-    monkeypatch.setattr(singular, "_opposite_walk", counting(_opposite_walk))
+    monkeypatch.setattr(singular, "_schubert_walk", counted)
     rep = census(G49)
     assert rep.total_pairs == 14 * 14
     pairs = (
