@@ -21,7 +21,7 @@ from .core import (
 )
 from .criteria import SMOOTH, analyze, minimal_pair
 from .diagrams import render_skew
-from .oracle import _edge_reports, census, verify
+from .oracle import PatternMismatch, _edge_reports, census, verify
 from .singular import richardson_singular_components
 
 
@@ -31,15 +31,21 @@ def to_json(data) -> str:
     Accepts dicts with str keys, lists, str, int, bool and None; anything
     else, a float, a tuple or a non-str key among them, raises TypeError.
     True, False and None are told apart by identity, so a bool is never
-    written as an int.  A list of plain ints is joined once per call and
-    indent, and reused from a dict that lives for this call only: census
-    records repeat few distinct v and w.  tests/test_cli.py::TestToJson
-    pins the bytes against the stdlib call.
+    written as an int.  A PatternMismatch record is one more leaf, written
+    as its to_dict() would be, without building that dict: its head (the
+    two flags and "v") is encoded once per v index object, flags and
+    indent, and its tail ("w" and the closing brace) once per w index
+    object and indent.  Both memos are keyed by id() and live for this
+    call only, while data holds every record, and so every keyed index,
+    alive; census's records share them (CensusReport._tree leaves them in
+    "mismatches").  tests/test_cli.py::TestToJson pins the bytes against
+    the stdlib call.
     """
     # imported here: the json package costs every CSV and text run its import
     from json.encoder import encode_basestring_ascii
 
-    ints: dict[tuple, str] = {}
+    heads: dict[tuple, str] = {}
+    tails: dict[tuple, str] = {}
 
     def enc(x, pad: str) -> str:
         if x is None:
@@ -53,16 +59,24 @@ def to_json(data) -> str:
         if isinstance(x, int):
             return int.__repr__(x)
         inner = pad + "  "
+        if isinstance(x, PatternMismatch):
+            c, p = x.smooth_by_components, x.smooth_by_pattern
+            key = (pad, id(x.v), c, p)
+            head = heads.get(key)
+            if head is None:
+                head = heads[key] = (
+                    f'{{{inner}"smooth_by_components": {enc(c, inner)},'
+                    f'{inner}"smooth_by_pattern": {enc(p, inner)},'
+                    f'{inner}"v": {enc(list(x.v.entries), inner)},{inner}"w": '
+                )
+            key = (pad, id(x.w))
+            tail = tails.get(key)
+            if tail is None:
+                tail = tails[key] = enc(list(x.w.entries), inner) + pad + "}"
+            return head + tail
         if isinstance(x, list):
             if not x:
                 return "[]"
-            if set(map(type, x)) == {int}:
-                key = (pad, *x)
-                out = ints.get(key)
-                if out is None:
-                    items = ("," + inner).join(map(int.__repr__, x))
-                    out = ints[key] = "[" + inner + items + pad + "]"
-                return out
             return "[" + inner + ("," + inner).join([enc(y, inner) for y in x]) + pad + "]"
         if isinstance(x, dict):
             if not x:
@@ -281,12 +295,12 @@ def _execute(args: argparse.Namespace) -> tuple[int, str]:
     if args.command == "verify":
         rep = verify(args.ctx)
         code = 0 if rep.passed else 1
-        data, text = rep.to_dict, lambda: _verify_text(rep)
+        data, text = lambda: rep._tree(False), lambda: _verify_text(rep)
     elif args.command == "census":
         if args.format == "csv":
             return 0, _census_csv(ctx)
         rep = census(ctx)
-        data, text = rep.to_dict, lambda: _census_text(rep)
+        data, text = lambda: rep._tree(False), lambda: _census_text(rep)
     elif args.command == "analyze":
         rep = analyze(args.v, args.w, ctx)
         data, text = rep.to_dict, lambda: _analysis_text(rep)

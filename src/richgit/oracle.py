@@ -202,18 +202,24 @@ class CensusReport(_Record):
     consistency_failures: tuple[ConsistencyFailure, ...]
     erratum_notes: tuple[str, ...]
 
-    def to_dict(self) -> dict:
+    def _tree(self, expand: bool) -> dict:
+        """to_dict(), with each PatternMismatch left a record unless expand (cli.to_json)."""
         return {
             "k": self.ctx.k,
             "n": self.ctx.n,
             "total_pairs": self.total_pairs,
             "smooth_count": self.smooth_count,
             "singular_count": self.singular_count,
-            "mismatches": [m.to_dict() for m in self.mismatches],
+            "mismatches": (
+                [m.to_dict() for m in self.mismatches] if expand else list(self.mismatches)
+            ),
             "oracle_mismatches": [m.to_dict() for m in self.oracle_mismatches],
             "consistency_failures": [f.to_dict() for f in self.consistency_failures],
             "erratum_notes": list(self.erratum_notes),
         }
+
+    def to_dict(self) -> dict:
+        return self._tree(True)
 
 
 # Most admissible pairs one census covers.  G(5,14) has 20,449 and
@@ -336,6 +342,8 @@ def census(ctx: GrassCtx) -> CensusReport:
       of analyze(v, w_min), iff that is one and A(w) holds.
     _side_check then checks those A and B verdicts, and the walk they
     rest on, against the cell oracle at every side index.
+    The mismatch records of one v share its index object, and all of
+    them the index objects of ws, which cli.to_json writes once each.
     """
     _check_census(ctx)
     lower, upper = _edge_reports(ctx)
@@ -429,14 +437,18 @@ class VerifyReport(_Record):
     def oracle_mismatch_total(self) -> int:
         return sum(len(c.oracle_mismatches) for c in self.censuses)
 
-    def to_dict(self) -> dict:
+    def _tree(self, expand: bool) -> dict:
+        """to_dict(), with each PatternMismatch left a record unless expand (cli.to_json)."""
         return {
-            "contexts": [c.to_dict() for c in self.censuses],
+            "contexts": [c._tree(expand) for c in self.censuses],
             "examples": [e.to_dict() for e in self.examples],
             "pattern_mismatch_total": self.pattern_mismatch_total,
             "oracle_mismatch_total": self.oracle_mismatch_total,
             "passed": self.passed,
         }
+
+    def to_dict(self) -> dict:
+        return self._tree(True)
 
 
 def verify(ctxs: list[GrassCtx] | None = None) -> VerifyReport:

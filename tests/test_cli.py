@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import richgit.oracle
 from helpers import coprime_ctxs
-from richgit import GrassCtx, census, verify
+from richgit import CensusReport, GrassCtx, PatternMismatch, census, make_index, verify
 from richgit.cli import main, to_json
 
 
@@ -153,6 +153,20 @@ def pretty(data):
     return json.dumps(data, sort_keys=True, indent=2) + "\n"
 
 
+def assert_same_text(out, expected):
+    """out == expected, failing with the first offset where they differ.
+
+    pytest's own report on two unequal texts of megabytes takes minutes.
+    """
+    if out != expected:
+        i = next((i for i, (a, b) in enumerate(zip(out, expected)) if a != b), len(out))
+        lo = max(0, i - 40)
+        pytest.fail(
+            f"texts differ at offset {i} (lengths {len(out)}, {len(expected)}): "
+            f"{out[lo:i + 40]!r} != {expected[lo:i + 40]!r}"
+        )
+
+
 JSON_SCALARS = (
     st.none()
     | st.booleans()
@@ -161,15 +175,50 @@ JSON_SCALARS = (
     | st.text()
     | st.sampled_from(["", "\x00\x1f\x7f", "\\\"/\b\f\n\r\t", "é€😀", "\ud800", "\u2028"])
 )
-JSON_TREES = st.recursive(
-    JSON_SCALARS,
-    lambda kids: st.lists(kids, max_size=5)
-    | st.dictionaries(st.text(max_size=4), kids, max_size=5)
-    # int lists take the memoized path unless a bool or None is among them
-    | st.lists(st.integers(-3, 3) | st.sampled_from([True, False, None]), min_size=1, max_size=4),
-    max_leaves=30,
-)
+
+
+def json_trees(leaves):
+    return st.recursive(
+        leaves,
+        lambda kids: st.lists(kids, max_size=5)
+        | st.dictionaries(st.text(max_size=4), kids, max_size=5)
+        # short lists of small ints, where a bool or None may stand among equal ints
+        | st.lists(st.integers(-3, 3) | st.sampled_from([True, False, None]), min_size=1, max_size=4),
+        max_leaves=30,
+    )
+
+
+JSON_TREES = json_trees(JSON_SCALARS)
 INTS = [3, 5, 7, 9]
+
+# PatternMismatch records as to_json writes them: from a few index objects
+# of G(3,7), each drawn as itself or as an equal but distinct copy
+G37 = GrassCtx(3, 7)
+POOL = [make_index(e, G37) for e in [(1, 2, 4), (1, 3, 5), (2, 4, 6), (3, 5, 7)]]
+POOL_INDICES = st.sampled_from(POOL).flatmap(
+    lambda i: st.sampled_from([i, make_index(i.entries, G37)])
+)
+RECORDS = st.builds(PatternMismatch, POOL_INDICES, POOL_INDICES, st.booleans(), st.booleans())
+A, B, C = POOL[:3]
+M_TF = PatternMismatch(A, B, True, False)
+M_FT = PatternMismatch(A, C, False, True)
+
+
+def expand(data):
+    """data with each PatternMismatch replaced by its to_dict(), the stdlib's reference."""
+    if isinstance(data, PatternMismatch):
+        return data.to_dict()
+    if isinstance(data, list):
+        return [expand(x) for x in data]
+    if isinstance(data, dict):
+        return {k: expand(v) for k, v in data.items()}
+    return data
+
+
+def census_report(mismatches):
+    """A CensusReport of G(3,7) built by hand around mismatches."""
+    n = len(mismatches)
+    return CensusReport(G37, n, 0, n, tuple(mismatches), (), (), ())
 
 
 class TestToJson:
@@ -182,9 +231,9 @@ class TestToJson:
     @example({"a": [], "b": {}, "c": [[], {}, [[]], {"d": {}}]})
     @example([-1, 0, 10**30, -(10**30)])
     @example(INTS)
-    # the same int list at three depths: the memo key holds the indent
+    # the same int list at three depths, each written at its own indent
     @example({"a": INTS, "b": [INTS, [INTS]], "c": {"d": INTS}})
-    # equal to [1, 0] and [3, 5] as keys go, but bools and None are not ints
+    # lists equal to [1, 0] and [3, 5] under ==, but bools and None are not ints
     @example([[1, 0], [True, False], [3, 5], [3, None], [None, 5]])
     @example({"\u00e9": "\x00", "": "\ud83d\ude00", "A": "a\\b\"c"})
     def test_matches_stdlib(self, data):
@@ -201,14 +250,57 @@ class TestToJson:
         with pytest.raises(TypeError):
             to_json(data)
 
-    @pytest.mark.parametrize("ctx", [*coprime_ctxs(12), GrassCtx(5, 14)], ids=str)
-    def test_census_bytes(self, ctx):
-        data = census(ctx).to_dict()
-        assert to_json(data) == pretty(data)
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(json_trees(JSON_SCALARS | RECORDS))
+    # one record at two depths: each tail is written at its own indent
+    @example({"a": [M_TF], "b": [[M_TF]], "c": M_TF})
+    # mixed flags for one v object
+    @example([M_TF, M_FT, PatternMismatch(A, B, False, False), PatternMismatch(A, B, True, True)])
+    def test_records_match_stdlib(self, data):
+        assert to_json(data) == pretty(expand(data))
 
-    def test_verify_bytes(self):
-        data = verify().to_dict()
-        assert to_json(data) == pretty(data)
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.lists(RECORDS, max_size=12).map(census_report))
+    @example(census_report([]))
+    @example(census_report([M_TF]))
+    # shared index objects, mixed flags for one v, not v-major
+    @example(census_report([M_TF, M_FT, PatternMismatch(B, B, True, False), M_TF]))
+    # equal but distinct index objects
+    @example(census_report([M_TF, PatternMismatch(make_index(A.entries, G37), B, True, False)]))
+    def test_hand_built_census(self, rep):
+        assert to_json(rep._tree(False)) == pretty(rep.to_dict())
+
+    @pytest.mark.parametrize(
+        "ctx", [*coprime_ctxs(12), GrassCtx(5, 14), GrassCtx(7, 16)], ids=str
+    )
+    def test_census_bytes(self, capsys, ctx):
+        out = run_cli(capsys, *census_argv(ctx.k, ctx.n, "json"))[1]
+        assert_same_text(out, pretty(census(ctx).to_dict()))
+
+    def test_census_g716_digest(self, capsys):
+        out = run_cli(capsys, *census_argv(7, 16, "json"))[1]
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == "e4fdb131d00d05eb0e2779ef900161dc1b3b0047c1a490ad5b60a3dbbff6bc33"
+
+    def test_verify_bytes(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--format", "json")
+        assert code == 1
+        assert_same_text(out, pretty(verify().to_dict()))
+
+    @pytest.mark.parametrize(
+        "argv", [census_argv(5, 14, "json"), ["verify", "--format", "json"]], ids=["census", "verify"]
+    )
+    def test_json_builds_no_record_dict(self, capsys, monkeypatch, argv):
+        expected = run_cli(capsys, *argv)
+        assert '"smooth_by_pattern"' in expected[1]
+
+        def refuse(self):
+            raise AssertionError("the CLI built a dict for a PatternMismatch")
+
+        monkeypatch.setattr(PatternMismatch, "to_dict", refuse)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == expected[::2]
+        assert_same_text(out, expected[1])
 
 
 PAIR_COMMANDS = ("analyze", "singular", "render")

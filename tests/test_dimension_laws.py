@@ -14,10 +14,12 @@ the paper, so it checks analyze's verdict from outside.
 """
 
 from collections import Counter
+from itertools import combinations
 
 import pytest
 
 from richgit import SINGULAR, SMOOTH, analyze, indices_above, indices_below, minimal_pair
+from richgit.singular import _schubert_walk
 
 from helpers import coprime_ctxs
 
@@ -52,3 +54,21 @@ def test_smallest_singular_quotient_has_dimension_four(seen):
     singular = {dim: count for (verdict, dim), count in seen.items() if verdict == SINGULAR}
     assert min(singular) == 4
     assert singular[4] == 4
+
+
+def test_every_walk_component_has_codimension_at_least_three():
+    """Each component w' of the walk of w has codimension sum(w) - sum(w') >= 3 in X(w).
+
+    dim X(w) = sum(w_i - i), and removing a hook lowers it by the hook's
+    cells: a valley's hook holds the valley, a cell south of it and a cell
+    east of it, so at least three; one walk covers both sides through iota.
+    Every index of every (k, n) with n <= 12.
+    """
+    walks = 0
+    for n in range(2, 13):
+        for k in range(1, n):
+            for e in combinations(range(1, n + 1), k):
+                for c in _schubert_walk(e):
+                    walks += 1
+                    assert sum(e) - sum(c) >= 3, (e, c)
+    assert walks > 0
