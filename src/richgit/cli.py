@@ -179,8 +179,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _census_csv(ctx: GrassCtx) -> str:
-    """census's pairs as rows: smooth iff both edge reports are, dimension from entry sums.
+    """census's pairs as rows, written per v from per-side text.
 
+    By census's proof (v, w) is smooth iff B(v) and A(w), that is iff
+    analyze(v, w_min) and analyze(v_min, w) are SMOOTH, and its dimension
+    is |w| - |v| (entry sums).  So a row depends on v only through its
+    text, |v| and B(v): each v's rows are one join, behind "k,n,v,", of
+    the w tails "w,dimension,true,smooth" built once per (|v|, B(v)).
     The bytes are those of ``csv.writer(buf, lineterminator="\\n")`` with its
     default QUOTE_MINIMAL: each side's index field is formatted once and
     quoted iff it holds a comma, so a one-entry index of G(1,n) is bare.
@@ -193,15 +198,20 @@ def _census_csv(ctx: GrassCtx) -> str:
         text = ",".join(map(str, e))
         return (f'"{text}"' if "," in text else text), sum(e), r.verdict == SMOOTH
 
-    vs = [side(r.pair.v.entries, r) for r in lower]
     ws = [side(r.pair.w.entries, r) for r in upper]
-    k, n = ctx.k, ctx.n
+    blocks: dict[tuple[int, bool], list[str]] = {}
     rows = ["k,n,v,w,dimension,has_semistable,smooth\n"]
-    rows += [
-        f"{k},{n},{v},{w},{w_sum - v_sum},true,{'true' if v_ok and w_ok else 'false'}\n"
-        for v, v_sum, v_ok in vs
-        for w, w_sum, w_ok in ws
-    ]
+    for r in lower:
+        v, v_sum, v_ok = side(r.pair.v.entries, r)
+        tails = blocks.get((v_sum, v_ok))
+        if tails is None:
+            tails = blocks[v_sum, v_ok] = [
+                f"{w},{w_sum - v_sum},true,{'true' if v_ok and w_ok else 'false'}\n"
+                for w, w_sum, w_ok in ws
+            ]
+        # upper holds w_min, so tails is never empty
+        pre = f"{ctx.k},{ctx.n},{v},"
+        rows.append(pre + pre.join(tails))
     return "".join(rows)
 
 
@@ -229,6 +239,12 @@ def _analysis_text(rep) -> str:
 
 
 def _census_text(rep) -> str:
+    """census's text, each index object formatted once: "    v=(...) w=" per v.
+
+    Both memos are keyed by id() for this call, while rep holds every index.
+    """
+    heads: dict[int, str] = {}
+    texts: dict[int, str] = {}
     lines = [
         f"census of {rep.ctx}:",
         f"  total_pairs: {rep.total_pairs}",
@@ -238,8 +254,14 @@ def _census_text(rep) -> str:
         f"  oracle mismatches: {len(rep.oracle_mismatches)}",
     ]
     for m in rep.mismatches:
+        head = heads.get(id(m.v))
+        if head is None:
+            head = heads[id(m.v)] = f"    v={m.v} w="
+        w = texts.get(id(m.w))
+        if w is None:
+            w = texts[id(m.w)] = str(m.w)
         lines.append(
-            f"    v={m.v} w={m.w} components={str(m.smooth_by_components).lower()} "
+            f"{head}{w} components={str(m.smooth_by_components).lower()} "
             f"pattern={str(m.smooth_by_pattern).lower()}"
         )
     if rep.consistency_failures:

@@ -87,3 +87,30 @@ def per_pair_census(ctx):
             ]
         )
     return total, smooth, tuple(mismatches), buf.getvalue()
+
+
+def census_text(rep):
+    """census's text output, each mismatch line formatted on its own.
+
+    The reference for cli._census_text, which formats each index once.
+    """
+    lines = [
+        f"census of {rep.ctx}:",
+        f"  total_pairs: {rep.total_pairs}",
+        f"  smooth_count: {rep.smooth_count}",
+        f"  singular_count: {rep.singular_count}",
+        f"  pattern mismatches: {len(rep.mismatches)}",
+        f"  oracle mismatches: {len(rep.oracle_mismatches)}",
+    ]
+    for m in rep.mismatches:
+        components = str(m.smooth_by_components).lower()
+        pattern = str(m.smooth_by_pattern).lower()
+        lines.append(f"    v={m.v} w={m.w} components={components} pattern={pattern}")
+    if rep.consistency_failures:
+        lines.append(f"  consistency failures: {len(rep.consistency_failures)}")
+    for f in rep.consistency_failures:
+        lines.append(
+            f"    {f.clause} at {f.index}: census={str(f.holds).lower()} "
+            f"oracle={str(not f.holds).lower()}"
+        )
+    return "\n".join(lines) + "\n"

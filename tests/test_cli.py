@@ -15,9 +15,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import richgit.oracle
-from helpers import coprime_ctxs
+from helpers import census_text, coprime_ctxs
 from richgit import CensusReport, GrassCtx, PatternMismatch, census, make_index, verify
-from richgit.cli import main, to_json
+from richgit.cli import _census_text, main, to_json
+from richgit.oracle import ConsistencyFailure
 
 
 PAIRS_CAP = "admissible pairs; a census analyzes at most 1,048,576"
@@ -282,6 +283,13 @@ class TestToJson:
         digest = hashlib.sha256(out.encode()).hexdigest()
         assert digest == "e4fdb131d00d05eb0e2779ef900161dc1b3b0047c1a490ad5b60a3dbbff6bc33"
 
+    def test_census_g716_csv_digest(self, capsys):
+        # 511,225 rows: the per-pair reference stops at G(5,14)
+        out = run_cli(capsys, *census_argv(7, 16, "csv"))[1]
+        assert (out.count("\n"), len(out)) == (511_226, 29_128_541)
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == "bba5656da7ea03ac9e8344bc77c42c7d6e25b78ccd9369801e55122fbf89a974"
+
     def test_verify_bytes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--format", "json")
         assert code == 1
@@ -487,6 +495,38 @@ class TestCensus:
             "  singular_count: 0\n"
             "  pattern mismatches: 0\n"
             "  oracle mismatches: 0\n"
+        )
+
+    @pytest.mark.parametrize("ctx", [*coprime_ctxs(12), GrassCtx(5, 14)], ids=str)
+    def test_text_matches_reference(self, capsys, ctx):
+        code, out, _ = run_cli(capsys, *census_argv(ctx.k, ctx.n))
+        assert code == 0
+        assert_same_text(out, census_text(census(ctx)))
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.lists(RECORDS, max_size=12).map(census_report))
+    @example(census_report([]))
+    # shared index objects, mixed flags for one v, not v-major
+    @example(census_report([M_TF, M_FT, PatternMismatch(B, B, True, False), M_TF]))
+    # equal but distinct index objects on both sides
+    @example(
+        census_report(
+            [M_TF, PatternMismatch(make_index(A.entries, G37), make_index(B.entries, G37), True, False)]
+        )
+    )
+    # a v that is some record's w
+    @example(census_report([PatternMismatch(B, A, False, True), M_TF, PatternMismatch(C, B, True, True)]))
+    def test_hand_built_text(self, rep):
+        assert _census_text(rep) == census_text(rep)
+
+    def test_text_consistency_failures(self):
+        failures = (ConsistencyFailure("A", B, True), ConsistencyFailure("B", A, False))
+        rep = CensusReport(G37, 2, 0, 2, (M_TF, M_FT), (), failures, ())
+        assert _census_text(rep) == census_text(rep)
+        assert _census_text(rep).endswith(
+            "  consistency failures: 2\n"
+            "    A at (1,3,5): census=true oracle=false\n"
+            "    B at (1,2,4): census=false oracle=true\n"
         )
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])

@@ -110,15 +110,23 @@ class TestOppositeComponents:
                 for c in opposite_singular_components(v):
                     assert v <= c and c != v
 
-    def test_equals_complemented_schubert_components(self):
-        # the one-pass entry route against its definition, order included
+    def test_dropped_entries_order_the_listings(self):
+        # an order law stated without iota: each component drops one entry
+        # of its index, at positions that strictly increase along the
+        # Schubert listing of w and strictly decrease along the opposite one
+        def dropped(x, comps):
+            out = []
+            for c in comps:
+                (gone,) = set(x.entries) - set(c.entries)
+                out.append(x.entries.index(gone))
+            return out
+
         for ctx in all_small_ctxs(10):
-            for v in enumerate_indices(ctx):
-                slow = tuple(
-                    complement_index(u)
-                    for u in schubert_singular_components(complement_index(v))
-                )
-                assert opposite_singular_components(v) == slow, v
+            for x in enumerate_indices(ctx):
+                up = dropped(x, schubert_singular_components(x))
+                down = dropped(x, opposite_singular_components(x))
+                assert all(a < b for a, b in zip(up, up[1:])), x
+                assert all(a > b for a, b in zip(down, down[1:])), x
 
     def test_mirrored_walk_on_entries(self):
         # every index with n <= 14: as a set against the cell oracle read
