@@ -4,6 +4,14 @@ Tuples are 1-based comma-separated integers (e.g. --v 1,3,5,7).  Results
 go to stdout (or --out), diagnostics to stderr.  Exit codes: 0 success,
 1 verify found mismatches, 2 invalid input.  JSON mode emits exactly one
 top-level object with sorted keys, so parse-and-reserialize is idempotent.
+
+Importing this module and building its parser load no library module, so
+--help and malformed arguments cost no library import; a --ctx value loads
+core to check it.  Each command imports what it runs when it runs: render
+loads diagrams (with core), singular loads singular (with core and
+diagrams), minimal and analyze load criteria (with those three), and only
+census and verify load oracle.  These module sets are pinned by
+tests/test_cli.py::test_each_command_loads_only_its_modules.
 """
 
 from __future__ import annotations
@@ -12,17 +20,11 @@ import argparse
 import sys
 from collections.abc import Sequence
 
-from .core import (
-    GrassCtx,
-    GrassError,
-    RichardsonId,
-    fmt_tuple,
-    make_index,
-)
-from .criteria import SMOOTH, analyze, minimal_pair
-from .diagrams import render_skew
-from .oracle import PatternMismatch, _edge_reports, census, verify
-from .singular import richardson_singular_components
+# typing.TYPE_CHECKING without importing typing, which no command needs;
+# type checkers take this name as true
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from .core import GrassCtx
 
 
 def to_json(data) -> str:
@@ -44,6 +46,10 @@ def to_json(data) -> str:
     # imported here: the json package costs every CSV and text run its import
     from json.encoder import encode_basestring_ascii
 
+    # a PatternMismatch exists only once oracle is loaded, and no command
+    # that does not load it should do so here; isinstance(x, ()) is False
+    oracle = sys.modules.get(f"{__package__}.oracle")
+    pattern_mismatch = getattr(oracle, "PatternMismatch", ())
     heads: dict[tuple, str] = {}
     tails: dict[tuple, str] = {}
 
@@ -59,7 +65,7 @@ def to_json(data) -> str:
         if isinstance(x, int):
             return int.__repr__(x)
         inner = pad + "  "
-        if isinstance(x, PatternMismatch):
+        if isinstance(x, pattern_mismatch):
             c, p = x.smooth_by_components, x.smooth_by_pattern
             key = (pad, id(x.v), c, p)
             head = heads.get(key)
@@ -115,6 +121,8 @@ def _parse_tuple(text: str) -> tuple[int, ...]:
 
 
 def _parse_ctx(text: str) -> GrassCtx:
+    from .core import GrassCtx, GrassError
+
     values = _parse_tuple(text)
     if len(values) != 2:
         raise argparse.ArgumentTypeError(f"expected K,N, got {_fmt_arg(text)}")
@@ -192,6 +200,9 @@ def _census_csv(ctx: GrassCtx) -> str:
     tests/test_oracle.py::test_census_equals_per_pair_analyze and
     tests/test_cli.py::TestCensus::test_csv_quoting pin them.
     """
+    from .criteria import SMOOTH
+    from .oracle import _edge_reports
+
     lower, upper = _edge_reports(ctx)
 
     def side(e, r):
@@ -275,6 +286,8 @@ def _census_text(rep) -> str:
 
 
 def _verify_text(rep) -> str:
+    from .core import fmt_tuple
+
     lines = []
     for c in rep.censuses:
         status = "ok"
@@ -307,6 +320,8 @@ def _execute(args: argparse.Namespace) -> tuple[int, str]:
     object and its text as two callables, and only the one --format
     names runs; census --format csv returns its rows directly.
     """
+    from .core import GrassCtx, RichardsonId, make_index
+
     if args.command != "verify":
         ctx = GrassCtx(args.k, args.n)
         head = {"k": args.k, "n": args.n}
@@ -315,23 +330,33 @@ def _execute(args: argparse.Namespace) -> tuple[int, str]:
         head.update(v=list(rid.v.entries), w=list(rid.w.entries))
     code = 0
     if args.command == "verify":
+        from .oracle import verify
+
         rep = verify(args.ctx)
         code = 0 if rep.passed else 1
         data, text = lambda: rep._tree(False), lambda: _verify_text(rep)
     elif args.command == "census":
         if args.format == "csv":
             return 0, _census_csv(ctx)
+        from .oracle import census
+
         rep = census(ctx)
         data, text = lambda: rep._tree(False), lambda: _census_text(rep)
     elif args.command == "analyze":
+        from .criteria import analyze
+
         rep = analyze(args.v, args.w, ctx)
         data, text = rep.to_dict, lambda: _analysis_text(rep)
     elif args.command == "minimal":
+        from .criteria import minimal_pair
+
         mp = minimal_pair(ctx)
         w_min, v_min = list(mp.w_min.entries), list(mp.v_min.entries)
         data = lambda: {**head, "w_min": w_min, "v_min": v_min, "a": list(mp.a)}
         text = lambda: f"w_min = {mp.w_min}  v_min = {mp.v_min}\n"
     elif args.command == "singular":
+        from .singular import richardson_singular_components
+
         comps = richardson_singular_components(rid)
         data = lambda: {
             **head,
@@ -345,6 +370,8 @@ def _execute(args: argparse.Namespace) -> tuple[int, str]:
             [f"singular locus of {rid} in {ctx}:"] + (lines or ["  (empty: the variety is smooth)"])
         ) + "\n"
     else:
+        from .diagrams import render_skew
+
         grid = render_skew(rid)
         data, text = lambda: {**head, "grid": grid.split("\n")}, lambda: grid + "\n"
     return code, to_json(data()) if args.format == "json" else text()
@@ -352,6 +379,8 @@ def _execute(args: argparse.Namespace) -> tuple[int, str]:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    from .core import GrassError
+
     try:
         code, out = _execute(args)
     except GrassError as exc:

@@ -1,10 +1,16 @@
-"""Helpers shared by the test modules: index shorthand, context lists and
-the per-pair reference census."""
+"""Helpers shared by the test modules: index shorthand, context lists, the
+per-pair reference census, a text comparison that reports large texts and
+a fresh interpreter to see what an import loads."""
 
 import csv
 import io
+import subprocess
+import sys
 from itertools import groupby
 from math import gcd
+from pathlib import Path
+
+import pytest
 
 from richgit import (
     SMOOTH,
@@ -114,3 +120,36 @@ def census_text(rep):
             f"oracle={str(not f.holds).lower()}"
         )
     return "\n".join(lines) + "\n"
+
+
+def assert_same_text(out, expected):
+    """out == expected, failing with the first offset where they differ.
+
+    pytest's own report on two unequal texts of megabytes takes minutes.
+    """
+    if out != expected:
+        i = next((i for i, (a, b) in enumerate(zip(out, expected)) if a != b), len(out))
+        lo = max(0, i - 40)
+        pytest.fail(
+            f"texts differ at offset {i} (lengths {len(out)}, {len(expected)}): "
+            f"{out[lo:i + 40]!r} != {expected[lo:i + 40]!r}"
+        )
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+# the richgit submodules loaded, short names in order, as print arguments
+LOADED = "*sorted(m[8:] for m in sys.modules if m.startswith('richgit.'))"
+
+
+def cold_run(code):
+    """stdout, stderr and the exit status of code in a fresh interpreter.
+
+    -I -S keep the environment's site hooks out of what it loads, and -B
+    (which -I would otherwise drop with PYTHONDONTWRITEBYTECODE) keeps it
+    from writing bytecode into the checkout.
+    """
+    code = f"import sys; sys.path.insert(0, {str(SRC)!r}); {code}"
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-B", "-c", code], capture_output=True, text=True, timeout=60
+    )
+    return proc.stdout, proc.stderr, proc.returncode

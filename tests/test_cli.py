@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import richgit.oracle
-from helpers import census_text, coprime_ctxs
+from helpers import LOADED, SRC, assert_same_text, census_text, cold_run, coprime_ctxs
 from richgit import CensusReport, GrassCtx, PatternMismatch, census, make_index, verify
 from richgit.cli import _census_text, main, to_json
 from richgit.oracle import ConsistencyFailure
@@ -152,20 +152,6 @@ class TestRenderAndSingular:
 def pretty(data):
     """JSON as the CLI writes it, serialized here rather than by cli.to_json."""
     return json.dumps(data, sort_keys=True, indent=2) + "\n"
-
-
-def assert_same_text(out, expected):
-    """out == expected, failing with the first offset where they differ.
-
-    pytest's own report on two unequal texts of megabytes takes minutes.
-    """
-    if out != expected:
-        i = next((i for i, (a, b) in enumerate(zip(out, expected)) if a != b), len(out))
-        lo = max(0, i - 40)
-        pytest.fail(
-            f"texts differ at offset {i} (lengths {len(out)}, {len(expected)}): "
-            f"{out[lo:i + 40]!r} != {expected[lo:i + 40]!r}"
-        )
 
 
 JSON_SCALARS = (
@@ -915,18 +901,73 @@ def test_tracer_output_matches_untraced(capsys, tmp_path):
     assert "singular.richardson_singular_components" not in {label[n] for n in names}
 
 
+CRITERIA = ["core", "criteria", "diagrams", "singular"]
+LIBRARY = sorted(CRITERIA + ["oracle"])
+PAIR = ["-k", "4", "-n", "9", "--v", "1,3,4,6", "--w", "3,5,7,9"]
+
+
 def test_cold_start_loads_no_dataclasses_inspect_or_json():
-    # every CLI run pays for what importing richgit.cli loads; -I -S keep
-    # the environment's site hooks out of the count
-    root = Path(__file__).parent.parent
-    src = root / "src"
-    code = (
-        f"import sys; sys.path.insert(0, {str(src)!r}); import richgit.cli; "
-        "print(*sorted({'dataclasses', 'inspect', 'json', 'json.decoder'} & set(sys.modules)))"
+    # every CLI run pays for what importing richgit.cli and building its
+    # parser load: no library module, and none of these
+    result = cold_run(
+        "import richgit.cli; richgit.cli.build_parser(); "
+        "print(*sorted({'dataclasses', 'inspect', 'json', 'json.decoder'} & set(sys.modules)), "
+        f"'|', {LOADED})"
     )
-    proc = subprocess.run(
-        [sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, timeout=60
-    )
-    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "\n")
-    for path in sorted((src / "richgit").glob("*.py")):
+    assert result == ("| cli\n", "", 0)
+    for path in sorted((SRC / "richgit").glob("*.py")):
         assert not re.search(r"^\s*(from|import)\s+dataclasses\b", path.read_text(), re.M), path
+
+
+@pytest.mark.parametrize(
+    "argv, loaded, status",
+    [
+        pytest.param(["--help"], [], 0, id="help"),
+        pytest.param(["analyze", "-k", "x", *PAIR[2:]], [], 2, id="bad-int"),
+        pytest.param(["analyze", *PAIR[:6]], [], 2, id="no-w"),
+        pytest.param(["verify", "--ctx", "5,4"], ["core"], 2, id="bad-ctx"),
+        # coprimality is verify's check, so it has loaded oracle
+        pytest.param(["verify", "--ctx", "2,4"], LIBRARY, 2, id="not-coprime"),
+        *[
+            pytest.param([command, *args, "--format", fmt], loaded, 0, id=f"{command}-{fmt}")
+            for command, args, loaded in [
+                ("analyze", PAIR, CRITERIA),
+                ("minimal", PAIR[:4], CRITERIA),
+                ("singular", PAIR, ["core", "diagrams", "singular"]),
+                ("render", PAIR, ["core", "diagrams"]),
+                ("census", PAIR[:4], LIBRARY),
+                ("verify", ["--ctx", "4,9"], LIBRARY),
+            ]
+            for fmt in ("text", "json")
+        ],
+        pytest.param(["census", *PAIR[:4], "--format", "csv"], LIBRARY, 0, id="census-csv"),
+    ],
+)
+def test_each_command_loads_only_its_modules(argv, loaded, status, capsys, monkeypatch):
+    # the fresh run writes what main writes in process, then the modules
+    # it loaded; COLUMNS fixes the width of argparse's help in both
+    monkeypatch.setenv("COLUMNS", "80")
+    with contextlib.suppress(SystemExit):
+        main(argv)
+    expected = capsys.readouterr()
+    result = cold_run(
+        "import richgit.cli\n"
+        f"try: status = richgit.cli.main({argv!r})\n"
+        "except SystemExit as exc: status = exc.code\n"
+        f"print(status, {LOADED})"
+    )
+    modules = " ".join([str(status), "cli", *loaded])
+    assert result == (f"{expected.out}{modules}\n", expected.err, 0)
+
+
+def test_library_names_load_only_their_modules():
+    for code, loaded in [
+        ("import richgit; richgit.GrassCtx", ["core"]),
+        ("import richgit; richgit.render_skew", ["core", "diagrams"]),
+        ("import richgit; richgit.richardson_singular_components", ["core", "diagrams", "singular"]),
+        ("import richgit; richgit.analyze", CRITERIA),
+        ("from richgit import census", LIBRARY),
+        # introspection probes dunder names; those load nothing
+        ("import richgit; assert not hasattr(richgit, '__wrapped__')", []),
+    ]:
+        assert cold_run(f"{code}; print({LOADED})") == (" ".join(loaded) + "\n", "", 0), code

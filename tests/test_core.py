@@ -1,4 +1,3 @@
-import ast
 import contextlib
 import importlib
 import io
@@ -26,7 +25,7 @@ from richgit import (
 )
 from richgit.core import _fmt_ctx, _fmt_int
 
-from helpers import G49, all_small_ctxs, idx
+from helpers import G49, LOADED, all_small_ctxs, cold_run, idx
 
 
 class TestGrassCtx:
@@ -239,23 +238,36 @@ MODULES = ("core", "criteria", "diagrams", "oracle", "singular")
 
 class TestPublicSurface:
     def test_all_joins_the_module_lists(self):
-        tree = ast.parse(Path(richgit.__file__).read_text(encoding="utf-8"))
-        imports = [
-            (node.level, node.module, [alias.name for alias in node.names])
-            for node in ast.walk(tree)
-            if isinstance(node, (ast.Import, ast.ImportFrom))
-        ]
-        assert imports == [(1, name, ["*"]) for name in MODULES]
         modules = [importlib.import_module(f"richgit.{name}") for name in MODULES]
         joined = [name for module in modules for name in module.__all__]
+        assert type(richgit.__all__) is list
         assert richgit.__all__ == joined
         assert len(joined) == len(set(joined))
-        for module in modules:
+        namespace = {}
+        exec("from richgit import *", namespace)
+        assert set(namespace) - {"__builtins__"} == set(joined)
+        assert set(joined) <= set(dir(richgit))
+        assert set(MODULES) <= set(dir(richgit))
+        with pytest.raises(AttributeError, match="module 'richgit' has no attribute 'nope'"):
+            richgit.nope
+        for short, module in zip(MODULES, modules):
+            assert getattr(richgit, short) is module
             for name in module.__all__:
                 obj = getattr(richgit, name)
                 assert obj is getattr(module, name), name
+                # resolved once, then an ordinary attribute of the package
+                assert vars(richgit)[name] is obj, name
                 if callable(obj):
                     assert obj.__module__ == module.__name__, name
+                assert namespace[name] is obj, name
+
+    def test_bare_import_resolves_submodules(self):
+        # a fresh interpreter: here every module is loaded already
+        result = cold_run(
+            f"import richgit; loaded = [{LOADED}]; "
+            "print(*loaded, '|', richgit.oracle is sys.modules['richgit.oracle'])"
+        )
+        assert result == ("| True\n", "", 0)
 
     def test_all_is_the_reviewed_surface(self):
         # the 44 names of the last export review (ROADMAP item 7); adding or

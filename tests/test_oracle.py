@@ -35,7 +35,7 @@ from richgit.oracle import (
     _hook_oracle_entries,
 )
 
-from helpers import G49, coprime_ctxs, idx, per_pair_census
+from helpers import G49, assert_same_text, coprime_ctxs, idx, per_pair_census
 
 
 def refuse(*args):
@@ -492,7 +492,7 @@ class TestCensus:
         )
         assert rep.mismatches == mismatches
         assert (rep.oracle_mismatches, rep.consistency_failures) == ((), ())
-        assert _census_csv(ctx) == rows
+        assert_same_text(_census_csv(ctx), rows)
 
     def test_census_analyzes_the_edges_only(self, monkeypatch, capsys):
         # G(4,9) has s = 14 indices per side: 2 * 14 edge pairs, not 14 ** 2
