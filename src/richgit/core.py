@@ -172,7 +172,10 @@ class _PairMemo:
 
     criteria._minimal_pair fills _minimal the first time it reads a coprime
     context (through the slot descriptor: the frozen __setattr__ refuses
-    it) and reads it back on every later call.  The pair points back at its
+    it) and reads it back on every later call.  Every path to
+    _minimal_pair passes criteria._require_coprime first, so a filled slot
+    proves gcd(k, n) = 1: criteria.analyze reads it to skip that check and
+    take its fast pair check.  The pair points back at its
     context, so the two form a cycle that the garbage collector frees once
     the caller drops the context: no global cache holds either.
     Equality, hashing, repr, copying, pickling and __replace__ see the

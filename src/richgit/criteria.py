@@ -18,7 +18,7 @@ records any disagreement, never silently resolving it.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from operator import le
+from operator import le, lt
 
 from .core import (
     ContextMismatch,
@@ -33,6 +33,8 @@ from .core import (
     _index,
     _record,
     _require_type,
+    _set_entries,
+    _set_index_ctx,
     _set_v,
     _set_w,
     make_index,
@@ -253,6 +255,31 @@ _set_dimension = AnalysisReport.dimension.__set__
 _new = object.__new__
 
 
+def _checked_pair(
+    v: Sequence[int] | GrassIndex, w: Sequence[int] | GrassIndex, ctx: GrassCtx
+) -> tuple[GrassIndex, GrassIndex, MinimalPair]:
+    """analyze's checks one at a time: (vi, wi, minimal_pair(ctx)), or the first error.
+
+    In analyze's order: NotCoprime, make_index on a raw v and then a raw
+    w, then the contexts and v <= w, where RichardsonId's own checks raise
+    first.  _minimal_pair runs only once every check has passed.
+    """
+    _require_coprime(ctx)
+    vi = v if isinstance(v, GrassIndex) else make_index(v, ctx)
+    wi = w if isinstance(w, GrassIndex) else make_index(w, ctx)
+    vc, wc = vi.ctx, wi.ctx
+    if not (
+        (vc is ctx or vc == ctx)
+        and (wc is ctx or wc == ctx)
+        and all(map(le, vi.entries, wi.entries))
+    ):
+        rid = RichardsonId(vi, wi)
+        raise ContextMismatch(
+            f"pair is from {_fmt_ctx(rid.ctx)}, minimal pair from {_fmt_ctx(ctx)}"
+        )
+    return vi, wi, _minimal_pair(ctx)
+
+
 def analyze(
     v: Sequence[int] | GrassIndex,
     w: Sequence[int] | GrassIndex,
@@ -266,9 +293,14 @@ def analyze(
     checks, made in that order and all before minimal_pair(ctx) builds its
     k-entry tuples, so a refusal takes time in proportion to the tuples
     given, not to k; valid tuples of a huge context still cost time in
-    proportion to k.  The pair is checked inline and built trusted; only a
-    pair that fails goes through RichardsonId's own checks, which raise
-    the same errors with the same messages.  Every value derived from the
+    proportion to k.  Once ctx's minimal pair is memoized (see
+    core._PairMemo), a pair of raw tuples is checked by one fused test and
+    built trusted, and a pair of prebuilt indices of that same ctx object
+    needs only v <= w.  Everything else (the first call on a context,
+    lists and other sequences, indices of another or an equal but
+    distinct context, and any pair that fails the fused test) takes
+    _checked_pair, which makes the checks above one by one and raises the
+    same errors with the same messages.  Every value derived from the
     pair afterwards is trusted.
     dimension is length(w) - length(v), the difference of the entry sums.
 
@@ -323,22 +355,45 @@ def analyze(
     the tests check the verdict against those flags and each clause
     against the components of its side.
     """
-    _require_coprime(ctx)
-    vi = v if isinstance(v, GrassIndex) else make_index(v, ctx)
-    wi = w if isinstance(w, GrassIndex) else make_index(w, ctx)
-    ve, we = vi.entries, wi.entries
-    vc, wc = vi.ctx, wi.ctx
-    if not (
-        (vc is ctx or vc == ctx) and (wc is ctx or wc == ctx) and all(map(le, ve, we))
+    mp = getattr(ctx, "_minimal", None) if type(ctx) is GrassCtx else None
+    # A filled memo proves gcd(k, n) = 1 (core._PairMemo).  The fused test
+    # is not GrassIndex.__post_init__'s check on each index: with strict
+    # increase on each side, 1 <= v_1 bounds v below and w_k <= n bounds w
+    # above, and v <= w gives the other two bounds, so no inner range
+    # bound needs a test.
+    if (
+        mp is not None
+        and type(v) is tuple
+        and type(w) is tuple
+        and len(v) == len(w) == ctx.k
+        and set(map(type, v + w)) <= {int}
+        and 1 <= v[0]
+        and w[-1] <= ctx.n
+        and all(map(lt, v, v[1:]))
+        and all(map(lt, w, w[1:]))
+        and all(map(le, v, w))
     ):
-        rid = RichardsonId(vi, wi)
-        raise ContextMismatch(
-            f"pair is from {_fmt_ctx(rid.ctx)}, minimal pair from {_fmt_ctx(ctx)}"
-        )
+        vi = _new(GrassIndex)
+        _set_entries(vi, v)
+        _set_index_ctx(vi, ctx)
+        wi = _new(GrassIndex)
+        _set_entries(wi, w)
+        _set_index_ctx(wi, ctx)
+    elif (
+        mp is not None
+        and isinstance(v, GrassIndex)
+        and isinstance(w, GrassIndex)
+        and v.ctx is ctx
+        and w.ctx is ctx
+        and all(map(le, v.entries, w.entries))
+    ):
+        vi, wi = v, w
+    else:
+        vi, wi, mp = _checked_pair(v, w, ctx)
+    ve, we = vi.entries, wi.entries
     rid = _new(RichardsonId)
     _set_v(rid, vi)
     _set_w(rid, wi)
-    mp = _minimal_pair(ctx)
 
     v_min, a = mp.v_min.entries, mp.a
     ss = all(map(le, ve, v_min)) and all(map(le, a, we))

@@ -10,7 +10,7 @@ from math import gcd
 from operator import le
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import richgit.criteria
@@ -251,6 +251,66 @@ def coprime_pairs(draw, max_n=30):
     return v, w, ctx
 
 
+class IntSubclass(int):
+    pass
+
+
+PARITY_CTXS = [(1, 3), (2, 5), (3, 7), (3, 8), (4, 9), (5, 7)]
+SPOILS = ["drop", "extra", "zero", "past_n", "repeat", "bool", "int_subclass", "float"]
+ARG_KINDS = ["tuple", "list", "warm", "equal", "other"]
+
+
+@st.composite
+def analyze_args(draw):
+    """(k, n, v, w) with v and w analyze's arguments on G(k, n) as (kind, entries).
+
+    Both sides start as strictly increasing k-tuples in [1, n], with
+    v <= w in half the draws.  One side in three is spoiled: a dropped or
+    an extra entry, 0 or n + 1, a repeated entry, or a bool, int-subclass
+    or float entry.  Half the draws pass both sides as tuples, the only
+    pair the fused test can take; otherwise each side is a tuple or a
+    list, or, unspoiled, an index of the warm context ("warm"), of an
+    equal but distinct one ("equal") or of G(k, n + 1) ("other").
+    """
+    k, n = draw(st.sampled_from(PARITY_CTXS))
+    a, b = (sorted(draw(st.sets(st.integers(1, n), min_size=k, max_size=k))) for _ in "ab")
+    if draw(st.booleans()):
+        a, b = list(map(min, a, b)), list(map(max, a, b))
+    spoiled = draw(st.sampled_from([None, 0, 1]))
+    if spoiled is not None:
+        entries, pos = (a, b)[spoiled], draw(st.integers(0, k - 1))
+        spoil = draw(st.sampled_from(SPOILS))
+        if spoil == "drop":
+            del entries[pos]
+        elif spoil == "extra":
+            entries.insert(pos, entries[pos])
+        elif spoil == "zero":
+            entries[0] = 0
+        elif spoil == "past_n":
+            entries[-1] = n + 1
+        elif spoil == "repeat":
+            if k > 1:
+                entries[max(pos, 1)] = entries[max(pos, 1) - 1]
+        else:
+            cast = {"bool": lambda e: bool(e % 2), "int_subclass": IntSubclass, "float": float}
+            entries[pos] = cast[spoil](entries[pos])
+    if draw(st.booleans()):
+        kinds = ["tuple", "tuple"]
+    else:
+        kinds = [
+            draw(st.sampled_from(ARG_KINDS[:2] if i == spoiled else ARG_KINDS)) for i in (0, 1)
+        ]
+    return k, n, (kinds[0], tuple(a)), (kinds[1], tuple(b))
+
+
+def outcome(v, w, ctx):
+    """analyze(v, w, ctx), or the class and message of what it raises."""
+    try:
+        return analyze(v, w, ctx)
+    except Exception as error:
+        return type(error), str(error)
+
+
 def assert_verdict_follows_components(rep):
     # analyze decides the verdict in its own loop over the side records;
     # it must equal the flags of the component list built on read
@@ -295,11 +355,75 @@ class TestAnalyze:
                         assert [c.has_semistable for c in rep.components] == [
                             has_semistable(c.pair, mp) for c in ref
                         ]
+                        # the same pair as raw tuples, on the warm context
+                        assert analyze(v.entries, w.entries, ctx) == rep
                         doc = json.dumps(rep.to_dict(), sort_keys=True)
                         digest.update(doc.encode())
                         pairs += 1
         assert pairs == 15813
         assert digest.hexdigest() == ANALYZE_DIGEST_N9
+
+    @settings(max_examples=600, deadline=None, derandomize=True, database=None)
+    @given(analyze_args())
+    @example((4, 9, ("tuple", (1, 3, 5, 7)), ("tuple", (3, 5, IntSubclass(7), 9))))
+    @example((4, 9, ("tuple", (1.0, 3, 5, 7)), ("tuple", (3, 5, 7, 9))))
+    @example((4, 9, ("tuple", (True, 3, 5, 7)), ("tuple", (3, 5, 7, 9))))
+    @example((4, 9, ("tuple", (1, 3, 3, 7)), ("tuple", (3, 5, 7, 9))))
+    @example((4, 9, ("tuple", (1, 3, 5, 7)), ("tuple", (3, 5, 7, 7))))
+    @example((4, 9, ("tuple", (0, 3, 5, 7)), ("tuple", (3, 5, 7, 9))))
+    @example((4, 9, ("tuple", (1, 3, 5, 7)), ("tuple", (3, 5, 7, 10))))
+    @example((4, 9, ("tuple", (3, 5, 7, 9)), ("tuple", (1, 3, 5, 7))))
+    @example((4, 9, ("warm", (1, 3, 5, 7)), ("equal", (3, 5, 7, 9))))
+    @example((4, 9, ("equal", (1, 3, 5, 7)), ("warm", (3, 5, 7, 9))))
+    @example((1, 3, ("tuple", (1,)), ("tuple", (3,))))
+    def test_warm_context_answers_as_a_fresh_one(self, args):
+        # analyze on a context whose minimal pair is memoized takes its
+        # fast checks; on a fresh one, the checks one by one.  Both must
+        # give equal reports or the same error class and message
+        k, n, *sides = args
+        fresh, warm = GrassCtx(k, n), GrassCtx(k, n)
+        minimal_pair(warm)
+        owners = {"warm": warm, "equal": GrassCtx(k, n), "other": GrassCtx(k, n + 1)}
+        v, w = (
+            idx(e, owners[kind]) if kind in owners else list(e) if kind == "list" else e
+            for kind, e in sides
+        )
+        assert pair_memo(fresh) is None
+        assert outcome(v, w, fresh) == outcome(v, w, warm)
+
+    def test_warm_context_skips_the_checked_path(self, monkeypatch):
+        # a valid raw pair (at the bounds 1 and n too, and with v = w) and a
+        # pair of the context's own indices skip _checked_pair once the
+        # memo is filled; the first call, lists and indices of an equal
+        # but distinct context take it
+        calls = []
+        checked = richgit.criteria._checked_pair
+
+        def counting(v, w, ctx):
+            calls.append((v, w))
+            return checked(v, w, ctx)
+
+        monkeypatch.setattr(richgit.criteria, "_checked_pair", counting)
+        for ctx, pairs in [
+            (GrassCtx(4, 9), [((1, 2, 3, 4), (6, 7, 8, 9)), ((1, 3, 5, 9), (1, 3, 5, 9))]),
+            (GrassCtx(1, 3), [((1,), (3,)), ((2,), (2,))]),
+        ]:
+            want = [analyze(v, w, GrassCtx(ctx.k, ctx.n)) for v, w in pairs]
+            assert len(calls) == len(pairs)
+            del calls[:]
+            minimal_pair(ctx)
+            for (v, w), rep in zip(pairs, want):
+                assert analyze(v, w, ctx) == rep
+                assert analyze(idx(v, ctx), idx(w, ctx), ctx) == rep
+            assert calls == []
+            v, w = pairs[0]
+            assert analyze(list(v), w, ctx) == want[0]
+            assert analyze(v, list(w), ctx) == want[0]
+            twin = GrassCtx(ctx.k, ctx.n)
+            assert analyze(idx(v, twin), idx(w, ctx), ctx) == want[0]
+            assert analyze(idx(v, ctx), idx(w, twin), ctx) == want[0]
+            assert len(calls) == 4
+            del calls[:]
 
     @pytest.mark.parametrize("k, n", [(7, 16), (9, 20), (11, 24)])
     @pytest.mark.parametrize("group", ["inside", "v_only", "w_only", "neither"])
