@@ -189,6 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _census_csv(ctx: GrassCtx) -> str:
     """census's pairs as rows, written per v from per-side text.
 
+    Raises what census raises before any work (oracle._check_census).
     By census's proof (v, w) is smooth iff B(v) and A(w), that is iff
     analyze(v, w_min) and analyze(v_min, w) are SMOOTH, and its dimension
     is |w| - |v| (entry sums).  So a row depends on v only through its
@@ -201,8 +202,9 @@ def _census_csv(ctx: GrassCtx) -> str:
     tests/test_cli.py::TestCensus::test_csv_quoting pin them.
     """
     from .criteria import SMOOTH
-    from .oracle import _edge_reports
+    from .oracle import _check_census, _edge_reports
 
+    _check_census(ctx)
     lower, upper = _edge_reports(ctx)
 
     def side(e, r):

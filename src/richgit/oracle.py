@@ -44,7 +44,7 @@ from .criteria import (
     _require_coprime,
     analyze,
 )
-from .diagrams import complement_index
+from .diagrams import _iota
 from .singular import _schubert_walk
 
 __all__ = [
@@ -227,25 +227,28 @@ class CensusReport(_Record):
 MAX_PAIRS = 2**20
 
 
-# Most cells of I(k,n) a census admits: C(n,k) indices, each a k x (n-k)
-# grid of cells.  G(7,16) has 720,720; the largest admitted k = 2
-# context, G(2,257), has 16,776,960, and G(2,259) is refused.  census
-# runs the cell oracle on the s = C(n,k)/n indices w >= w_min only, so
-# the bound is n times what it visits; it is kept on C(n,k), as it was
-# set when census swept all of I(k,n) (0.35-0.40 s for G(2,257) in a
-# fresh process, Python 3.11.7, shared 2-core Xeon VM).
-MAX_SWEEP_CELLS = 2**24
+# Most side cells a census admits: s * k * n = C(n,k) * k for the
+# s = C(n,k)/n side indices, k entries each, where the walk and the
+# row-bitmask cell oracle cost up to n per entry.  G(7,16) has 80,080
+# and G(2,2049), at the pair cap, 4,196,352; G(1,2**24) sits at the
+# bound and G(4095,4096) just under it, and each runs in under 0.05 s
+# in any format.  Past it one pair's work grows with k without limit:
+# the CSV of G(3000000,3000001) took 5.4 s and 518 MB (fresh process,
+# Python 3.11.7, shared 2-core Xeon VM).
+MAX_SIDE_CELLS = 2**24
 
 
-def _check_pairs(ctx: GrassCtx) -> int:
-    """Raise NotCoprime, or GrassError when ctx has more than MAX_PAIRS pairs.
+def _check_census(ctx: GrassCtx) -> int:
+    """Every check census makes, in every format, before any work; returns C(n,k).
 
-    For coprime k and n the indices v <= v_min are the lattice paths in
-    the k x (n-k) box that stay below its diagonal, and Bizley (1954)
-    counts them as the rational Catalan number s = C(n,k)/n; the indices
-    w >= w_min are as many, so there are s * s pairs.  C(n,j) grows with
-    j = 1..min(k, n-k), so the loop stops once it passes MAX_PAIRS * n,
-    where s alone passes MAX_PAIRS.  Otherwise returns C(n,k).
+    Raises NotCoprime, then GrassError past MAX_PAIRS pairs, then past
+    MAX_SIDE_CELLS side cells.  For coprime k and n the indices v <= v_min
+    are the lattice paths in the k x (n-k) box that stay below its
+    diagonal, and Bizley (1954) counts them as the rational Catalan number
+    s = C(n,k)/n; the indices w >= w_min are as many, so there are s * s
+    pairs.  C(n,j) grows with j = 1..min(k, n-k), so the loop stops once
+    it passes MAX_PAIRS * n, where s alone passes MAX_PAIRS.  A count of
+    side cells from 2**48 on is not spelled out.
     """
     _require_coprime(ctx)
     k, n = ctx.k, ctx.n
@@ -261,33 +264,20 @@ def _check_pairs(ctx: GrassCtx) -> int:
             f"{_fmt_ctx(ctx)} has {count} admissible pairs; "
             f"a census analyzes at most {MAX_PAIRS:,}"
         )
-    return indices
-
-
-def _check_census(ctx: GrassCtx) -> None:
-    """Every check census makes before any work: _check_pairs, then the cells of I(k,n).
-
-    The refusal keeps its wording from when census swept all of I(k,n).
-    Past MAX_SWEEP_CELLS indices (k = 1 admits any n) the cells are not spelled out.
-    """
-    indices = _check_pairs(ctx)
-    k, n = ctx.k, ctx.n
-    cells = indices * k * (n - k)
-    if cells > MAX_SWEEP_CELLS:
-        count = f"more than {MAX_SWEEP_CELLS:,} oracle sweep cells"
-        if indices <= MAX_SWEEP_CELLS:
-            count = f"{cells:,} oracle sweep cells ({indices:,} indices of {k * (n - k)} cells)"
+    cells = indices * k
+    if cells > MAX_SIDE_CELLS:
+        count = f"{cells:,}" if cells < 2**48 else f"more than {MAX_SIDE_CELLS:,}"
         raise GrassError(
-            f"{_fmt_ctx(ctx)} has {count}; a census sweeps at most {MAX_SWEEP_CELLS:,}"
+            f"{_fmt_ctx(ctx)} has {count} side cells; a census checks at most {MAX_SIDE_CELLS:,}"
         )
+    return indices
 
 
 def _edge_reports(ctx: GrassCtx) -> tuple[list[AnalysisReport], list[AnalysisReport]]:
     """[analyze(v, w_min) for v <= v_min], [analyze(v_min, w) for w >= w_min].
 
-    Each side in lexicographic order; raises what _check_pairs raises first.
+    Each side in lexicographic order; callers run _check_census first.
     """
-    _check_pairs(ctx)
     mp = _minimal_pair(ctx)
     return (
         [analyze(v, mp.w_min, ctx) for v in indices_below(mp.v_min)],
@@ -304,7 +294,7 @@ def _side_check(
     with the cell oracle, and A(w) (analyze(v_min, w) is SMOOTH) must hold
     iff no oracle component is >= w_min, by analyze's lemma.  For each
     v <= v_min, in lower's order, B(v) (analyze(v, w_min) by components)
-    must hold iff the same is true of w = iota(v): iota, complement_index,
+    must hold iff the same is true of w = iota(v): iota (diagrams._iota)
     reverses the Bruhat order and swaps v_min and w_min, and the opposite
     components of X^v are the iota-images of the Schubert components of
     X(iota(v)).  So the oracle runs once on each of the s indices w.
@@ -323,7 +313,7 @@ def _side_check(
             failures.append(ConsistencyFailure("A", w, holds))
     for r in lower:
         holds = r.smooth_by_components
-        if holds != clean[complement_index(r.pair.v).entries]:
+        if holds != clean[_iota(r.pair.v.entries, ctx.n)]:
             failures.append(ConsistencyFailure("B", r.pair.v, holds))
     return tuple(walk), tuple(failures)
 
@@ -332,7 +322,7 @@ def census(ctx: GrassCtx) -> CensusReport:
     """Verdicts of every pair with v <= v_min and w >= w_min, v-major.
 
     Raises what _check_census raises before any work: NotCoprime, or
-    GrassError when the pairs or the cells of I(k,n) exceed their bounds.
+    GrassError past MAX_PAIRS pairs or MAX_SIDE_CELLS side cells.
     analyze runs on the 2s edge pairs of _edge_reports only (s = C(n,k)/n).
     In analyze's terms (v, w) is smooth by components iff A(w) and B(v),
     by pattern iff A(w) and P(v), and A(w_min), B(v_min), P(v_min) hold:

@@ -22,7 +22,7 @@ from richgit.oracle import ConsistencyFailure
 
 
 PAIRS_CAP = "admissible pairs; a census analyzes at most 1,048,576"
-SWEEP, CELLS_CAP = "oracle sweep cells", "a census sweeps at most 16,777,216"
+CELLS_CAP = "side cells; a census checks at most 16,777,216"
 
 
 # 10**2200 as refusal messages write it: leading and trailing digits, then the length
@@ -32,6 +32,11 @@ BIG_TEXT = "100000...000000 (2201 digits)"
 
 def census_argv(k, n, fmt="text"):
     return ["census", "-k", str(k), "-n", str(n), "--format", fmt]
+
+
+def guard_argv(k, n, fmt):
+    """census of G(k,n) in format fmt, or verify --ctx k,n when fmt is "verify"."""
+    return ["verify", "--ctx", f"{k},{n}"] if fmt == "verify" else census_argv(k, n, fmt)
 
 
 def refuse_analyze(*args):
@@ -526,13 +531,61 @@ class TestCensus:
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_sweep_guard_exit_2(self, capsys, monkeypatch, fmt):
-        # G(2,259) passes the pair guard; its oracle sweep is refused
+        # named for the deleted oracle-sweep cell guard: at n = k+1 side cells
+        # equal its cells, so G(4096,4097), the first G(k,k+1) past the bound,
+        # is refused in text and JSON as before
         monkeypatch.setattr(richgit.oracle, "analyze", refuse_analyze)
         monkeypatch.setattr(richgit.oracle, "_side_check", refuse_analyze)
-        code, out, err = run_cli(capsys, "census", "-k", "2", "-n", "259", "--format", fmt)
+        code, out, err = run_cli(capsys, *census_argv(4096, 4097, fmt))
         assert code == 2
         assert out == ""
-        assert "G(2,259) has 17,173,254 oracle sweep cells" in err
+        assert "G(4096,4097) has 16,781,312 side cells" in err
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv", "verify"])
+    @pytest.mark.parametrize(
+        "k, n, line",
+        [
+            (9, 20, f"G(9,20) has 70,526,404 {PAIRS_CAP}"),
+            (3, 3000001, f"G(3,3000001) has more than 1,048,576 {PAIRS_CAP}"),
+            (3000000, 3000001, f"G(3000000,3000001) has 9,000,003,000,000 {CELLS_CAP}"),
+            (1, BIG + 1, f"G(1,100000...000001 (2201 digits)) has more than 16,777,216 {CELLS_CAP}"),
+        ],
+        ids=["9,20", "3,3000001", "3000000,3000001", "1,10^2200+1"],
+    )
+    def test_refusal_matrix(self, capsys, monkeypatch, fmt, k, n, line):
+        # every format refuses the same contexts with the same line, before any work
+        monkeypatch.setattr(richgit.oracle, "analyze", refuse_analyze)
+        monkeypatch.setattr(richgit.oracle, "_side_check", refuse_analyze)
+        code, out, err = run_cli(capsys, *guard_argv(k, n, fmt))
+        assert (code, out, err) == (2, "", f"error: {line}\n")
+        assert len(err.encode()) <= 128
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv", "verify"])
+    @pytest.mark.parametrize(
+        "k, n", [(2, 259), (4095, 4096), (1, 2**24)], ids=["2,259", "4095,4096", "1,2^24"]
+    )
+    def test_admission_matrix(self, capsys, fmt, k, n):
+        # G(1,2**24) has exactly MAX_SIDE_CELLS side cells, G(4095,4096) just
+        # fewer; verify of G(2,259) runs and exits 1, for the pattern
+        # shortcut disagrees there at 16,254 pairs
+        code, out, err = run_cli(capsys, *guard_argv(k, n, fmt))
+        assert (code, err) == (int(fmt == "verify" and k == 2), "")
+        assert out
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_each_census_path_checks_once(self, capsys, monkeypatch, fmt):
+        calls = []
+        real = richgit.oracle._check_census
+
+        def counting(ctx):
+            calls.append(ctx)
+            return real(ctx)
+
+        monkeypatch.setattr(richgit.oracle, "_check_census", counting)
+        assert main(census_argv(4, 9, fmt)) == 0
+        assert calls == [GrassCtx(4, 9)]
+        census(GrassCtx(3, 8))
+        assert calls == [GrassCtx(4, 9), GrassCtx(3, 8)]
 
     @pytest.mark.parametrize(
         "argv",
@@ -561,8 +614,8 @@ class TestCensus:
         [
             (census_argv(9, 20), f"G(9,20) has 70,526,404 {PAIRS_CAP}"),
             (
-                census_argv(2, 259),
-                f"G(2,259) has 17,173,254 {SWEEP} (33,411 indices of 514 cells); {CELLS_CAP}",
+                ["verify", "--ctx", "2,259", "--ctx", "4096,4097"],
+                f"G(4096,4097) has 16,781,312 {CELLS_CAP}",
             ),
             (census_argv(3, 3000001), f"G(3,3000001) has more than 1,048,576 {PAIRS_CAP}"),
             (
@@ -572,7 +625,7 @@ class TestCensus:
             (census_argv(4001, 8000), f"G(4001,8000) has more than 1,048,576 {PAIRS_CAP}"),
             (
                 census_argv(1, BIG + 1),
-                f"G(1,100000...000001 (2201 digits)) has more than 16,777,216 {SWEEP}; {CELLS_CAP}",
+                f"G(1,100000...000001 (2201 digits)) has more than 16,777,216 {CELLS_CAP}",
             ),
             (
                 census_argv(3, 10**30 + 1),
@@ -596,6 +649,8 @@ class TestCensus:
     def test_refusal_is_one_bounded_line(self, capsys, monkeypatch, argv, line):
         # a count is named only below 2**48, and k, n or an entry in full only up
         # to 20 digits (Python refuses to print ints of more than 4,300 digits)
+        # G(2,259) is admitted, but verify starts no census of it while a later
+        # context is refused
         monkeypatch.setattr(richgit.oracle, "analyze", refuse_analyze)
         monkeypatch.setattr(richgit.oracle, "_side_check", refuse_analyze)
         code, out, err = run_cli(capsys, *argv)
@@ -613,11 +668,10 @@ class TestCensus:
         assert rows[1].startswith('1200,1201,"1,2,3,')
 
     def test_huge_k_csv_finishes(self):
-        # G(300000,300001) passes both guards with one pair.  Enumerating its
-        # two 300,000-entry indices took minutes while each tuple grew by one
-        # entry per position (quadratic in k); built once each, the whole
-        # process takes about a second.
-        k = 300000
+        # G(4095,4096), the largest G(k,k+1) the side guard admits, has one
+        # pair of two 4,095-entry indices; core's TestIntervals times the
+        # enumeration of longer ones
+        k = 4095
         root = Path(__file__).parent.parent
         done = subprocess.run(
             [sys.executable, "-m", "richgit.cli", *census_argv(k, k + 1, "csv")],
@@ -882,13 +936,13 @@ def test_tracer_output_matches_untraced(capsys, tmp_path):
         parents.fromfile(fh, meta["spans"])
     label = meta["names"]
     # a census runs no full sweep of I(k,n); its side check runs on entry
-    # tuples, so under the census span no public oracle or formula runs
-    # (test_oracle.py::TestOracleSweep counts its calls of the tuple oracle)
+    # tuples, complement included, so under the census span no public
+    # oracle, formula or complement runs (test_oracle.py::TestOracleSweep
+    # counts its calls of the tuple oracle)
     assert "oracle.oracle_sweep" not in {label[n] for n in names}
     (census_span,) = [i for i, n in enumerate(names) if label[n] == "oracle.census"]
     assert {label[n] for n, p in zip(names, parents) if p == census_span} == {
         "core.indices_below", "core.indices_above", "criteria.analyze",
-        "diagrams.complement_index",
     }
     analyzes = [i for i, n in enumerate(names) if label[n] == "criteria.analyze"]
     children = {i: [] for i in analyzes}

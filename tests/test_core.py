@@ -232,6 +232,17 @@ class TestIntervals:
         assert [a.entries for a in indices_below(make_index(low, ctx))] == [low]
         assert [a.entries for a in indices_above(make_index(high, ctx))] == [high]
 
+    def test_huge_bounds_enumerate_in_linear_time(self):
+        # G(300000,300001): one index per side, 300,000 entries each.  Built
+        # one entry per position (quadratic in k) it took minutes; built once
+        # each, the whole process takes about a second
+        out, err, code = cold_run(
+            "from richgit import GrassCtx, indices_above, indices_below, minimal_pair; "
+            "mp = minimal_pair(GrassCtx(300000, 300001)); "
+            "print(len(indices_below(mp.v_min)), len(indices_above(mp.w_min)))"
+        )
+        assert (out, err, code) == ("1 1\n", "", 0)
+
 
 MODULES = ("core", "criteria", "diagrams", "oracle", "singular")
 

@@ -29,9 +29,8 @@ import richgit.oracle
 from richgit.cli import _census_csv, main, to_json
 from richgit.oracle import (
     MAX_PAIRS,
-    MAX_SWEEP_CELLS,
+    MAX_SIDE_CELLS,
     _check_census,
-    _check_pairs,
     _hook_oracle_entries,
 )
 
@@ -346,28 +345,28 @@ class TestCensus:
         for ctx in default_contexts(40):
             pairs = side_size(ctx) ** 2
             if pairs <= MAX_PAIRS:
-                assert _check_pairs(ctx) == comb(ctx.n, ctx.k), ctx
+                assert _check_census(ctx) == comb(ctx.n, ctx.k), ctx
             else:
                 count = f"{pairs:,}" if side_size(ctx) <= MAX_PAIRS else f"more than {MAX_PAIRS:,}"
                 message = "^" + re.escape(f"{ctx} has {count} admissible pairs;")
                 with pytest.raises(GrassError, match=message):
-                    _check_pairs(ctx)
+                    _check_census(ctx)
 
     def test_guard_cap_is_exact_at_the_boundary(self):
         # C(2**21 + 1, 2) = 2**20 * n exactly: s = MAX_PAIRS is still spelled out
         with pytest.raises(GrassError, match=r"^G\(2,2097153\) has 1,099,511,627,776 admissible"):
-            _check_pairs(GrassCtx(2, 2**21 + 1))
+            _check_census(GrassCtx(2, 2**21 + 1))
         with pytest.raises(GrassError, match=r"^G\(2,2097155\) has more than 1,048,576 admissible"):
-            _check_pairs(GrassCtx(2, 2**21 + 3))
+            _check_census(GrassCtx(2, 2**21 + 3))
         # C(n,2) = 2**20 * n already at j = 2 < 5: the loop must go on past the cap
         with pytest.raises(GrassError, match=r"^G\(5,2097153\) has more than 1,048,576 admissible"):
-            _check_pairs(GrassCtx(5, 2**21 + 1))
+            _check_census(GrassCtx(5, 2**21 + 1))
 
     def test_guard_admits_exactly_the_cap(self):
         # G(2,2049) has s = C(2049,2)/2049 = 1024 per side, 2**20 pairs in all
-        assert _check_pairs(GrassCtx(2, 2049)) == 2_098_176
+        assert _check_census(GrassCtx(2, 2049)) == 2_098_176
         with pytest.raises(GrassError, match=r"^G\(2,2051\) has 1,050,625 admissible pairs;"):
-            _check_pairs(GrassCtx(2, 2051))
+            _check_census(GrassCtx(2, 2051))
 
     def test_verify_totals_are_squares_of_the_closed_form(self):
         ctxs = default_contexts()
@@ -377,7 +376,7 @@ class TestCensus:
 
     @pytest.mark.parametrize(
         "ctx, refused",
-        [(GrassCtx(500000, 1000001), True), (GrassCtx(20000, 20001), False)],
+        [(GrassCtx(500000, 1000001), True), (GrassCtx(4095, 4096), False)],
         ids=["far-refused", "narrow-passes"],
     )
     def test_guard_cost_is_bounded(self, ctx, refused):
@@ -385,9 +384,9 @@ class TestCensus:
         start = time.perf_counter()
         if refused:
             with pytest.raises(GrassError, match="more than 1,048,576 admissible pairs"):
-                _check_pairs(ctx)
+                _check_census(ctx)
         else:
-            assert _check_pairs(ctx) == ctx.n
+            assert _check_census(ctx) == ctx.n
         assert time.perf_counter() - start < 2
 
     def test_guard_refuses_before_analyzing(self, monkeypatch, capsys):
@@ -423,7 +422,7 @@ class TestCensus:
     def test_guard_admits_the_largest_benchmark_context(self):
         # G(7,16) has (C(16,7)/16) ** 2 = 715 ** 2 = 511,225 pairs, under MAX_PAIRS
         assert side_size(GrassCtx(7, 16)) ** 2 == 511225 <= MAX_PAIRS
-        assert _check_pairs(GrassCtx(7, 16)) == comb(16, 7)
+        assert _check_census(GrassCtx(7, 16)) == comb(16, 7)
         rep = census(GrassCtx(7, 16))
         assert (rep.total_pairs, rep.oracle_mismatches, rep.consistency_failures) == (
             511225, (), ()
@@ -434,52 +433,46 @@ class TestCensus:
         # tuples; a refusal must not wait for them
         monkeypatch.setattr(richgit.oracle, "_minimal_pair", refuse)
         monkeypatch.setattr(richgit.criteria, "_minimal_pair", refuse)
-        for check in (_check_pairs, _check_census, census, lambda c: verify([c])):
+        for check in (_check_census, census, _census_csv, lambda c: verify([c])):
             with pytest.raises(NotCoprime, match=r"^k=4 and n=8 are not coprime$"):
                 check(GrassCtx(4, 8))
-        sweep = (
-            "G(3000000,3000001) has 9,000,003,000,000 oracle sweep cells "
-            "(3,000,001 indices of 3000000 cells); a census sweeps at most 16,777,216"
-        )
-        with pytest.raises(GrassError, match=f"^{re.escape(sweep)}$"):
-            census(GrassCtx(3000000, 3000001))
-        assert main(["census", "-k", "3000000", "-n", "3000001"]) == 2
-        assert capsys.readouterr().err == f"error: {sweep}\n"
         assert main(["census", "-k", "4", "-n", "8", "--format", "csv"]) == 2
         assert capsys.readouterr().err == "error: k=4 and n=8 are not coprime\n"
 
-    def test_sweep_guard_refuses_before_any_work(self, monkeypatch):
-        # G(2,259) has only 129 ** 2 pairs, but C(259,2) * 2 * 257 sweep cells
-        monkeypatch.setattr(richgit.oracle, "analyze", refuse)
-        monkeypatch.setattr(richgit.oracle, "_side_check", refuse)
-        with pytest.raises(
-            GrassError, match=r"G\(2,259\) has 17,173,254 oracle sweep cells .* at most 16,777,216"
-        ):
-            census(GrassCtx(2, 259))
+    def test_side_guard_refuses_before_any_work(self, monkeypatch):
+        # G(3000000,3000001) has one pair, but s * k * n = 3000001 * 3000000 side cells
+        for name in ("_minimal_pair", "analyze", "_side_check", "indices_below", "indices_above"):
+            monkeypatch.setattr(richgit.oracle, name, refuse)
+        message = (
+            "G(3000000,3000001) has 9,000,003,000,000 side cells; "
+            "a census checks at most 16,777,216"
+        )
+        for check in (census, _census_csv, lambda c: verify([c])):
+            with pytest.raises(GrassError, match=f"^{re.escape(message)}$"):
+                check(GrassCtx(3000000, 3000001))
 
-    def test_sweep_guard_names_counts_up_to_its_cap_of_indices(self):
-        # k = 1 passes the pair guard for every n; past 2**24 indices only the bound is named
-        with pytest.raises(GrassError, match=re.escape(
-            "G(1,16777216) has 281,474,959,933,440 oracle sweep cells "
-            "(16,777,216 indices of 16777215 cells); a census sweeps at most 16,777,216"
-        )):
-            _check_census(GrassCtx(1, 2**24))
-        with pytest.raises(GrassError, match=re.escape(
-            "G(1,16777217) has more than 16,777,216 oracle sweep cells; "
-            "a census sweeps at most 16,777,216"
-        )):
-            _check_census(GrassCtx(1, 2**24 + 1))
+    def test_side_guard_is_exact_at_the_bound(self):
+        # G(1,n) has one pair and n side cells, so k = 1 meets the bound at n = 2**24;
+        # from 2**48 cells on only the bound is named
+        assert _check_census(GrassCtx(1, 2**24)) == MAX_SIDE_CELLS
+        for n, count in [
+            (2**24 + 1, "16,777,217"),
+            (2**48 - 1, "281,474,976,710,655"),
+            (2**48, "more than 16,777,216"),
+        ]:
+            message = f"G(1,{n}) has {count} side cells; a census checks at most 16,777,216"
+            with pytest.raises(GrassError, match=f"^{re.escape(message)}$"):
+                _check_census(GrassCtx(1, n))
 
-    def test_sweep_guard_bound(self, capsys):
-        # the largest admitted k = 2 context, and every context the
-        # benchmark and the default verify run, pass; the CSV path has no sweep
-        assert 257 * 256 * 255 <= MAX_SWEEP_CELLS < 259 * 258 * 257
-        for ctx in [GrassCtx(2, 257), GrassCtx(5, 14), GrassCtx(7, 16), *default_contexts()]:
-            _check_census(ctx)
-        assert main(["census", "-k", "2", "-n", "259", "--format", "csv"]) == 0
-        rows = capsys.readouterr().out.splitlines()
-        assert len(rows) == 1 + 129**2
-        assert rows[1].startswith('2,259,"1,2",')
+    def test_side_guard_bound(self):
+        # s * k * n = C(n,k) * k: G(k,k+1) has (k+1) * k, under the bound up to k = 4095;
+        # the pair cap, every benchmark context and the default verify pass it
+        assert 4096 * 4095 <= MAX_SIDE_CELLS < 4097 * 4096
+        assert _check_census(GrassCtx(4095, 4096)) == 4096
+        with pytest.raises(GrassError, match=r"^G\(4096,4097\) has 16,781,312 side cells;"):
+            _check_census(GrassCtx(4096, 4097))
+        for ctx in [GrassCtx(2, 2049), GrassCtx(5, 14), GrassCtx(7, 16), *default_contexts()]:
+            assert _check_census(ctx) * ctx.k <= MAX_SIDE_CELLS
 
     @pytest.mark.parametrize("ctx", [*coprime_ctxs(12), GrassCtx(5, 14)], ids=str)
     def test_census_equals_per_pair_analyze(self, ctx):
@@ -536,7 +529,9 @@ class TestVerify:
                 [(7, 16), (9, 20)], r"G\(9,20\) has 70,526,404 admissible pairs", id="pairs"
             ),
             pytest.param(
-                [(3, 8), (2, 259)], r"G\(2,259\) has 17,173,254 oracle sweep cells", id="sweep"
+                [(3, 8), (3000000, 3000001)],
+                r"G\(3000000,3000001\) has 9,000,003,000,000 side cells",
+                id="side",
             ),
             pytest.param([(3, 8), (4, 8)], "not coprime", id="coprime"),
         ],

@@ -21,16 +21,13 @@ not part of tier-1: each mutant costs up to one tier-1 run.
 
 A survivor is either a missing test or an equivalent mutant, one that no
 input can tell from the original.  A run over every module of
-src/richgit leaves these five, all equivalent:
+src/richgit leaves these four, all equivalent:
   - core._fmt_int: ``x < 0`` -> ``x <= 0`` never sees 0, which the range
     test before it returns early.
   - core.GrassIndex.__post_init__: the bounds of the fast path only send
     valid input on to the slow path, which accepts it.
   - core._interval: indices_above never reads the extra entry that a
     longer top tuple would give.
-  - oracle._check_census: ``cells > MAX_SWEEP_CELLS`` and ``>=`` differ
-    only at exactly 2**24 cells, and no coprime context has that many,
-    as cells = n (n - k) C(n-1, k-1).
 """
 
 from __future__ import annotations
