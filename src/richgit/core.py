@@ -139,7 +139,12 @@ def _record(cls: type) -> type:
     deferred (3.14) or not.  Like namedtuple, the class gets an __init__
     compiled for its own fields: it sets each one through its slot
     descriptor, then calls __post_init__ where the class has one.
-    _values returns the field tuple.
+    _trusted, compiled from the same source, takes the same fields and
+    builds the record through object.__new__ and those descriptors alone:
+    no __post_init__ check, and no frozen __setattr__ in the way.  It is
+    the one constructor for records derived from valid ones (core._index,
+    core._richardson, diagrams._partition).  _values returns the field
+    tuple.
     """
     own = tuple(cls.__annotations__)
     fields = cls.__match_args__ + own
@@ -148,22 +153,21 @@ def _record(cls: type) -> type:
     ns.pop("__weakref__", None)
     ns.update(__slots__=own, __qualname__=cls.__qualname__, __match_args__=fields)
     new = type(cls.__name__, cls.__bases__, ns)
-    setters = [f"_set_{f}" for f in fields]
-    post = "  self.__post_init__()\n" if hasattr(new, "__post_init__") else ""
-    source = (
-        f"def make({', '.join(setters)}):\n"
-        f" def __init__(self, {', '.join(fields)}):\n"
-        + "".join(f"  {s}(self, {f})\n" for s, f in zip(setters, fields))
-        + post
-        + " def _values(self):\n"
-        + f"  return ({''.join(f'self.{f}, ' for f in fields)})\n"
-        + " return __init__, _values\n"
+    args = ", ".join(fields)
+    sets = "".join(f" _set_{f}(self, {f})\n" for f in fields)
+    post = " self.__post_init__()\n" if hasattr(new, "__post_init__") else ""
+    scope = {f"_set_{f}": getattr(new, f).__set__ for f in fields}
+    scope.update(_cls=new, _new=object.__new__)
+    exec(
+        f"def __init__(self, {args}):\n{sets}{post}"
+        f"def _trusted({args}):\n self = _new(_cls)\n{sets} return self\n"
+        f"def _values(self):\n return ({''.join(f'self.{f}, ' for f in fields)})\n",
+        scope,
     )
-    scope: dict = {}
-    exec(source, scope)
-    init, new._values = scope["make"](*[getattr(new, f).__set__ for f in fields])
-    init.__qualname__ = f"{cls.__qualname__}.__init__"
-    new.__init__ = init
+    for name in ("__init__", "_trusted", "_values"):
+        scope[name].__qualname__ = f"{cls.__qualname__}.{name}"
+    new.__init__, new._values = scope["__init__"], scope["_values"]
+    new._trusted = staticmethod(scope["_trusted"])
     return new
 
 
@@ -175,9 +179,9 @@ class _PairMemo:
     it) and reads it back on every later call.  Every path to
     _minimal_pair passes criteria._require_coprime first, so a filled slot
     proves gcd(k, n) = 1: criteria.analyze reads it to skip that check and
-    take its fast pair check.  The pair points back at its
-    context, so the two form a cycle that the garbage collector frees once
-    the caller drops the context: no global cache holds either.
+    take its fused test on a pair of raw tuples.  The pair points back at
+    its context, so the two form a cycle that the garbage collector frees
+    once the caller drops the context: no global cache holds either.
     Equality, hashing, repr, copying, pickling and __replace__ see the
     fields only: a copy starts with an empty memo.
     """
@@ -224,9 +228,10 @@ class GrassIndex(_Record):
 
     Construction validates the entries: a tuple of ints (bools rejected),
     then length, range and strict increase; a ctx that is not a GrassCtx
-    is refused too.  Indices the library derives
-    from valid ones (enumeration, partitions, complements, hook removal)
-    are built by _index instead, which skips that check.
+    is refused too.  Indices the library derives from valid ones
+    (enumeration, partitions, complements, hook removal) are built by
+    _index, the class's generated _trusted constructor (see _record),
+    which skips that check.
     """
 
     entries: tuple[int, ...]
@@ -284,21 +289,7 @@ class GrassIndex(_Record):
         return fmt_tuple(self.entries)
 
 
-# Every record class of the library is a frozen, slotted _Record.  The
-# trusted constructors (_index and _richardson here, diagrams._partition,
-# and the inline setters of criteria.analyze) set the fields through the
-# class's slot descriptors: no __post_init__ check, and no frozen
-# __setattr__ in the way.
-_set_entries = GrassIndex.entries.__set__
-_set_index_ctx = GrassIndex.ctx.__set__
-
-
-def _index(entries: tuple[int, ...], ctx: GrassCtx) -> GrassIndex:
-    """GrassIndex without validation, for entries derived from valid ones."""
-    idx = object.__new__(GrassIndex)
-    _set_entries(idx, entries)
-    _set_index_ctx(idx, ctx)
-    return idx
+_index = GrassIndex._trusted
 
 
 def make_index(values: Sequence[int], ctx: GrassCtx) -> GrassIndex:
@@ -353,16 +344,7 @@ class RichardsonId(_Record):
         return f"X^{self.v}_{self.w}"
 
 
-_set_v = RichardsonId.v.__set__
-_set_w = RichardsonId.w.__set__
-
-
-def _richardson(v: GrassIndex, w: GrassIndex) -> RichardsonId:
-    """RichardsonId without validation, for a pair already known to have v <= w."""
-    rid = object.__new__(RichardsonId)
-    _set_v(rid, v)
-    _set_w(rid, w)
-    return rid
+_richardson = RichardsonId._trusted
 
 
 def _interval(lo: tuple[int, ...], hi: tuple[int, ...]) -> list[tuple[int, ...]]:

@@ -61,16 +61,7 @@ class BoxedPartition(_Record):
         return "(" + ",".join(str(p) for p in self.parts) + ")"
 
 
-_set_parts = BoxedPartition.parts.__set__
-_set_ctx = BoxedPartition.ctx.__set__
-
-
-def _partition(parts: tuple[int, ...], ctx: GrassCtx) -> BoxedPartition:
-    """BoxedPartition built as a trusted record (see core._index)."""
-    p = object.__new__(BoxedPartition)
-    _set_parts(p, parts)
-    _set_ctx(p, ctx)
-    return p
+_partition = BoxedPartition._trusted
 
 
 def to_partition(w: GrassIndex) -> BoxedPartition:

@@ -336,6 +336,11 @@ def census(ctx: GrassCtx) -> CensusReport:
     them the index objects of ws, which cli.to_json writes once each.
     """
     _check_census(ctx)
+    return _census(ctx)
+
+
+def _census(ctx: GrassCtx) -> CensusReport:
+    """census for a ctx that _check_census has passed."""
     lower, upper = _edge_reports(ctx)
     ws = [r.pair.w for r in upper if r.verdict == SMOOTH]
     total = len(lower) * len(upper)
@@ -458,7 +463,7 @@ def verify(ctxs: list[GrassCtx] | None = None) -> VerifyReport:
         raise GrassError(f"ctxs must be an iterable, not {type(ctxs).__name__}") from None
     for c in ctxs:
         _check_census(c)
-    censuses = tuple(census(c) for c in ctxs)
+    censuses = tuple(_census(c) for c in ctxs)
     examples: tuple[ExampleCheck, ...] = ()
     if any(c.k == 4 and c.n == 9 for c in ctxs):
         g49 = GrassCtx(4, 9)

@@ -586,6 +586,14 @@ class TestCensus:
         assert calls == [GrassCtx(4, 9)]
         census(GrassCtx(3, 8))
         assert calls == [GrassCtx(4, 9), GrassCtx(3, 8)]
+        # verify checks every context up front, and its censuses do not
+        # check again; the pattern shortcut diverges in G(3,8), so neither passes
+        del calls[:]
+        assert not verify([GrassCtx(3, 8), GrassCtx(4, 9)]).passed
+        assert calls == [GrassCtx(3, 8), GrassCtx(4, 9)]
+        del calls[:]
+        assert main(["verify", "--ctx", "3,8", "--ctx", "4,9"]) == 1
+        assert calls == [GrassCtx(3, 8), GrassCtx(4, 9)]
 
     @pytest.mark.parametrize(
         "argv",

@@ -392,10 +392,10 @@ class TestAnalyze:
         assert outcome(v, w, fresh) == outcome(v, w, warm)
 
     def test_warm_context_skips_the_checked_path(self, monkeypatch):
-        # a valid raw pair (at the bounds 1 and n too, and with v = w) and a
-        # pair of the context's own indices skip _checked_pair once the
-        # memo is filled; the first call, lists and indices of an equal
-        # but distinct context take it
+        # a valid raw pair (at the bounds 1 and n too, and with v = w)
+        # skips _checked_pair once the memo is filled; the first call,
+        # lists and prebuilt indices, of this context or an equal but
+        # distinct one, take it and give the same reports
         calls = []
         checked = richgit.criteria._checked_pair
 
@@ -414,8 +414,11 @@ class TestAnalyze:
             minimal_pair(ctx)
             for (v, w), rep in zip(pairs, want):
                 assert analyze(v, w, ctx) == rep
-                assert analyze(idx(v, ctx), idx(w, ctx), ctx) == rep
             assert calls == []
+            for (v, w), rep in zip(pairs, want):
+                assert analyze(idx(v, ctx), idx(w, ctx), ctx) == rep
+            assert len(calls) == len(pairs)
+            del calls[:]
             v, w = pairs[0]
             assert analyze(list(v), w, ctx) == want[0]
             assert analyze(v, list(w), ctx) == want[0]

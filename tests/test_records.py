@@ -2,9 +2,11 @@
 
 Each record class is a frozen, slotted core._Record: no instance
 __dict__, no assignment, equality and hashing over its fields, copies
-that go through the validating constructor, and trusted constructors
-(which set fields through the slot descriptors, skipping validation)
-that build exactly what the validated constructors build.
+that go through the validating constructor, and a generated trusted
+constructor, cls._trusted (which sets the fields through the slot
+descriptors, skipping validation), that builds exactly what the
+validated constructor builds.  analyze's inline build is held to the
+same rule.
 """
 
 from __future__ import annotations
@@ -159,11 +161,12 @@ class TestFrozenSlottedRecord:
             f"{name}={value!r}" for name, value in zip(cls.__match_args__, values)
         ) + ")"
         for changed in cls.__match_args__:
-            # the record with one field swapped for a foreign object, built
-            # through the slot descriptors as the trusted constructors do
-            other = object.__new__(cls)
-            for name, value in zip(cls.__match_args__, values):
-                getattr(cls, name).__set__(other, object() if name == changed else value)
+            # the record with one field swapped for a foreign object, which
+            # only the trusted constructor accepts
+            other = cls._trusted(
+                *(object() if name == changed else value
+                  for name, value in zip(cls.__match_args__, values))
+            )
             assert other != record and record != other
 
     def test_copies_and_pickles_equal(self, record):
@@ -185,24 +188,31 @@ def validated(record):
     return cls(**{name: getattr(record, name) for name in cls.__match_args__})
 
 
+# the library's names for the generated constructors it calls
+ALIASES = {GrassIndex: "core._index", RichardsonId: "core._richardson",
+           BoxedPartition: "diagrams._partition"}
+
+
 def trusted_and_validated():
-    """(trusted result, validated result) for each trusted constructor."""
-    v, w = GrassIndex(V, G49), GrassIndex(W, G49)
+    """(trusted result, validated result): cls._trusted on each sample's fields, and analyze."""
+    cases = {}
+    for record in SAMPLES:
+        cls = type(record)
+        module = cls.__module__.removeprefix("richgit.")
+        name = ALIASES.get(cls, f"{module}.{cls.__qualname__}._trusted")
+        fields = (getattr(record, f) for f in cls.__match_args__)
+        cases[name] = (cls._trusted(*fields), validated(record))
     rep = analyze((1, 3, 4, 6), (5, 7, 8, 9), G49)
     empty = analyze((1, 2, 6, 7), (3, 6, 7, 9), G49)
     comp = rep.components[0]
-    return {
-        "core._index": (_index(V, G49), GrassIndex(V, G49)),
-        "core._richardson": (_richardson(v, w), RichardsonId(v, w)),
-        "diagrams._partition": (_partition((0, 1, 1, 2), G49), BoxedPartition((0, 1, 1, 2), G49)),
-        # components builds each kept component's pair trusted
-        "criteria.analyze-component": (
-            comp,
-            ComponentReport(RichardsonId(comp.pair.v, comp.pair.w), comp.source, comp.has_semistable),
-        ),
-        "criteria.analyze": (rep, validated(rep)),
-        "criteria.analyze-empty-quotient": (empty, validated(empty)),
-    }
+    # analyze builds its records inline; components builds each kept component's pair trusted
+    cases["criteria.analyze-component"] = (
+        comp,
+        ComponentReport(RichardsonId(comp.pair.v, comp.pair.w), comp.source, comp.has_semistable),
+    )
+    cases["criteria.analyze"] = (rep, validated(rep))
+    cases["criteria.analyze-empty-quotient"] = (empty, validated(empty))
+    return cases
 
 
 @pytest.mark.parametrize("name", sorted(trusted_and_validated()))
@@ -214,6 +224,26 @@ def test_trusted_constructor_matches_the_validated_one(name):
     assert hash(trusted) == hash(checked)
     assert repr(trusted) == repr(checked)
     assert validated(trusted) == trusted
+
+
+@pytest.mark.parametrize(
+    "trusted, cls, fields, error",
+    [
+        (_index, GrassIndex, ((1, 3, 4, 10), G49), GrassError),
+        (_richardson, RichardsonId, (GrassIndex(W, G49), GrassIndex(V, G49)), EmptyRichardson),
+        (_partition, BoxedPartition, ((0, 1, 1), G49), GrassError),
+    ],
+    ids=["index", "richardson", "partition"],
+)
+def test_trusted_constructor_skips_post_init(trusted, cls, fields, error):
+    # the library's unchecked constructors are the generated ones, and
+    # build what __post_init__ refuses
+    assert trusted is cls._trusted
+    with pytest.raises(error):
+        cls(*fields)
+    record = trusted(*fields)
+    assert type(record) is cls
+    assert tuple(getattr(record, name) for name in cls.__match_args__) == fields
 
 
 @pytest.mark.parametrize(
