@@ -33,65 +33,71 @@ def to_json(data) -> str:
     Accepts dicts with str keys, lists, str, int, bool and None; anything
     else, a float, a tuple or a non-str key among them, raises TypeError.
     True, False and None are told apart by identity, so a bool is never
-    written as an int.  A PatternMismatch record is one more leaf, written
-    as its to_dict() would be, without building that dict: its head (the
-    two flags and "v") is encoded once per v index object, flags and
-    indent, and its tail ("w" and the closing brace) once per w index
-    object and indent.  Both memos are keyed by id() and live for this
-    call only, while data holds every record, and so every keyed index,
-    alive; census's records share them (CensusReport._tree leaves them in
-    "mismatches").  tests/test_cli.py::TestToJson pins the bytes against
-    the stdlib call.
+    written as an int.  A list is written by runs of one item type: a run
+    of exact ints is one join of int.__repr__, so a bool or an int
+    subclass never takes it.  A PatternMismatch record is one more leaf,
+    written as its to_dict() would be, without building that dict.
+    Consecutive records of a list that share v and both flags (compared
+    by ==, so the flags must be bools, as census's are) form a run,
+    written as one string: the head (the two flags and "v") joined over
+    the tails ("w" and the closing brace).  The tails are memoized on the
+    indent and the run's w index objects, keyed by id() for this call
+    only, while data holds every record, and so every keyed index, alive.
+    census's records are one run per mismatch v over one shared w block
+    (CensusReport._tree leaves them in "mismatches"), so that block is
+    encoded once.  A lone record is a run of one.
+    tests/test_cli.py::TestToJson pins the bytes against the stdlib call.
     """
-    # imported here: the json package costs every CSV and text run its import
-    from json.encoder import encode_basestring_ascii
+    # the C encoder json.encoder wraps, without the json package's imports
+    from _json import encode_basestring_ascii
+    from itertools import groupby
+    from operator import attrgetter
 
     # a PatternMismatch exists only once oracle is loaded, and no command
     # that does not load it should do so here; isinstance(x, ()) is False
     oracle = sys.modules.get(f"{__package__}.oracle")
     pattern_mismatch = getattr(oracle, "PatternMismatch", ())
-    heads: dict[tuple, str] = {}
-    tails: dict[tuple, str] = {}
+    run_key, get_w = attrgetter("v", "smooth_by_components", "smooth_by_pattern"), attrgetter("w")
+    blocks: dict[tuple, list[str]] = {}
+
+    def run(ms: list, pad: str) -> str:
+        (v, c, p), inner = run_key(ms[0]), pad + "  "
+        head = (
+            f'{{{inner}"smooth_by_components": {enc(c, inner)},'
+            f'{inner}"smooth_by_pattern": {enc(p, inner)},'
+            f'{inner}"v": {enc(list(v.entries), inner)},{inner}"w": '
+        )
+        key = (pad, *map(id, map(get_w, ms)))
+        if key not in blocks:
+            blocks[key] = [enc(list(m.w.entries), inner) + pad + "}" for m in ms]
+        return head + ("," + pad + head).join(blocks[key])
 
     def enc(x, pad: str) -> str:
-        if x is None:
-            return "null"
-        if x is True:
-            return "true"
-        if x is False:
-            return "false"
+        if x is None or x is True or x is False:
+            return "null" if x is None else "true" if x else "false"
         if isinstance(x, str):
             return encode_basestring_ascii(x)
         if isinstance(x, int):
             return int.__repr__(x)
-        inner = pad + "  "
         if isinstance(x, pattern_mismatch):
-            c, p = x.smooth_by_components, x.smooth_by_pattern
-            key = (pad, id(x.v), c, p)
-            head = heads.get(key)
-            if head is None:
-                head = heads[key] = (
-                    f'{{{inner}"smooth_by_components": {enc(c, inner)},'
-                    f'{inner}"smooth_by_pattern": {enc(p, inner)},'
-                    f'{inner}"v": {enc(list(x.v.entries), inner)},{inner}"w": '
-                )
-            key = (pad, id(x.w))
-            tail = tails.get(key)
-            if tail is None:
-                tail = tails[key] = enc(list(x.w.entries), inner) + pad + "}"
-            return head + tail
+            return run([x], pad)
+        inner = pad + "  "
         if isinstance(x, list):
-            if not x:
-                return "[]"
-            return "[" + inner + ("," + inner).join([enc(y, inner) for y in x]) + pad + "]"
+            items = []
+            for t, group in groupby(x, type):
+                if t is int:
+                    items += map(int.__repr__, group)
+                elif t is pattern_mismatch:
+                    items += [run(list(ms), inner) for _, ms in groupby(group, run_key)]
+                else:
+                    items += [enc(y, inner) for y in group]
+            return "[" + inner + ("," + inner).join(items) + pad + "]" if x else "[]"
         if isinstance(x, dict):
-            if not x:
-                return "{}"
             # encode_basestring_ascii raises TypeError on a non-str key
             fields = [
                 encode_basestring_ascii(k) + ": " + enc(v, inner) for k, v in sorted(x.items())
             ]
-            return "{" + inner + ("," + inner).join(fields) + pad + "}"
+            return "{" + inner + ("," + inner).join(fields) + pad + "}" if x else "{}"
         raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
 
     return enc(data, "\n") + "\n"

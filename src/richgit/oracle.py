@@ -332,8 +332,9 @@ def census(ctx: GrassCtx) -> CensusReport:
       of analyze(v, w_min), iff that is one and A(w) holds.
     _side_check then checks those A and B verdicts, and the walk they
     rest on, against the cell oracle at every side index.
-    The mismatch records of one v share its index object, and all of
-    them the index objects of ws, which cli.to_json writes once each.
+    The mismatch records of one v share its index object and flags, and
+    each v's run of them pairs it with the same ws in the same order, so
+    cli.to_json writes each run as one join over one block of w tails.
     """
     _check_census(ctx)
     return _census(ctx)

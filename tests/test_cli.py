@@ -194,6 +194,18 @@ RECORDS = st.builds(PatternMismatch, POOL_INDICES, POOL_INDICES, st.booleans(), 
 A, B, C = POOL[:3]
 M_TF = PatternMismatch(A, B, True, False)
 M_FT = PatternMismatch(A, C, False, True)
+M_TC = PatternMismatch(A, C, True, False)
+M_BB = PatternMismatch(B, B, True, False)
+M_TD = PatternMismatch(A, POOL[3], True, False)
+
+
+class LoudInt(int):
+    """An int subclass whose repr and str differ from int's; json writes int.__repr__."""
+
+    def __repr__(self):
+        return f"LoudInt({int(self)})"
+
+    __str__ = __repr__
 
 
 def expand(data):
@@ -228,6 +240,8 @@ class TestToJson:
     # lists equal to [1, 0] and [3, 5] under ==, but bools and None are not ints
     @example([[1, 0], [True, False], [3, 5], [3, None], [None, 5]])
     @example({"\u00e9": "\x00", "": "\ud83d\ude00", "A": "a\\b\"c"})
+    # an int subclass among exact ints, written as int.__repr__ writes it
+    @example([1, LoudInt(2), 3, [LoudInt(-4)], LoudInt(5)])
     def test_matches_stdlib(self, data):
         assert to_json(data) == pretty(data)
 
@@ -248,6 +262,16 @@ class TestToJson:
     @example({"a": [M_TF], "b": [[M_TF]], "c": M_TF})
     # mixed flags for one v object
     @example([M_TF, M_FT, PatternMismatch(A, B, False, False), PatternMismatch(A, B, True, True)])
+    # two runs of one v object, with a run of another v between them
+    @example([M_TF, M_TC, M_BB, M_TF, M_TC])
+    # two runs of one v whose w sequences have one length but differ: the
+    # tails are memoized for the w objects, not for the run's length
+    @example([M_TF, M_TC, M_FT, PatternMismatch(A, B, False, True)])
+    @example({"a": [M_TF, M_TC], "b": [M_TF, M_TD]})
+    # a run broken by a v that is equal but a distinct object
+    @example([M_TF, PatternMismatch(make_index(A.entries, G37), C, True, False), M_TF])
+    # records among ints and None
+    @example([M_TF, 1, None, M_TF, M_FT, 2, 3, [M_TF, 4], None, M_BB])
     def test_records_match_stdlib(self, data):
         assert to_json(data) == pretty(expand(data))
 
@@ -256,7 +280,7 @@ class TestToJson:
     @example(census_report([]))
     @example(census_report([M_TF]))
     # shared index objects, mixed flags for one v, not v-major
-    @example(census_report([M_TF, M_FT, PatternMismatch(B, B, True, False), M_TF]))
+    @example(census_report([M_TF, M_FT, M_BB, M_TF]))
     # equal but distinct index objects
     @example(census_report([M_TF, PatternMismatch(make_index(A.entries, G37), B, True, False)]))
     def test_hand_built_census(self, rep):
@@ -979,6 +1003,27 @@ def test_cold_start_loads_no_dataclasses_inspect_or_json():
     assert result == ("| cli\n", "", 0)
     for path in sorted((SRC / "richgit").glob("*.py")):
         assert not re.search(r"^\s*(from|import)\s+dataclasses\b", path.read_text(), re.M), path
+
+
+@pytest.mark.parametrize(
+    "argv, status",
+    [
+        (census_argv(4, 9, "json"), 0),
+        (["verify", "--format", "json"], 1),
+        (["analyze", *PAIR, "--format", "json"], 0),
+    ],
+    ids=["census", "verify", "analyze"],
+)
+def test_json_loads_the_c_encoder_only(argv, status):
+    # to_json needs one function of the json package, and takes it from
+    # the C module json.encoder wraps; stdout is swallowed before the list
+    result = cold_run(
+        "import io, richgit.cli\n"
+        f"sys.stdout = io.StringIO(); status = richgit.cli.main({argv!r})\n"
+        "sys.stdout = sys.__stdout__\n"
+        "print(status, *sorted(m for m in sys.modules if m.partition('.')[0] in ('json', '_json')))"
+    )
+    assert result == (f"{status} _json\n", "", 0)
 
 
 @pytest.mark.parametrize(
