@@ -35,42 +35,34 @@ def to_json(data) -> str:
     True, False and None are told apart by identity, so a bool is never
     written as an int.  A list is written by runs of one item type: a run
     of exact ints is one join of int.__repr__, so a bool or an int
-    subclass never takes it.  A PatternMismatch record is one more leaf,
-    written as its to_dict() would be, without building that dict.
-    Consecutive records of a list that share v and both flags (compared
-    by ==, so the flags must be bools, as census's are) form a run,
-    written as one string: the head (the two flags and "v") joined over
-    the tails ("w" and the closing brace).  The tails are memoized on the
-    indent and the run's w index objects, keyed by id() for this call
-    only, while data holds every record, and so every keyed index, alive.
-    census's records are one run per mismatch v over one shared w block
-    (CensusReport._tree leaves them in "mismatches"), so that block is
-    encoded once.  A lone record is a run of one.
+    subclass never takes it.  A CensusReport is one more leaf, written as
+    its to_dict()["mismatches"] would be, without building a record or a
+    dict per pair (CensusReport._tree leaves the report there): the tails
+    ("w" and the closing brace) of its smooth_ws are encoded once, and
+    each of its mismatch_rows is its head (the two flags and "v") joined
+    over those tails.
     tests/test_cli.py::TestToJson pins the bytes against the stdlib call.
     """
     # the C encoder json.encoder wraps, without the json package's imports
     from _json import encode_basestring_ascii
     from itertools import groupby
-    from operator import attrgetter
 
-    # a PatternMismatch exists only once oracle is loaded, and no command
+    # a CensusReport exists only once oracle is loaded, and no command
     # that does not load it should do so here; isinstance(x, ()) is False
-    oracle = sys.modules.get(f"{__package__}.oracle")
-    pattern_mismatch = getattr(oracle, "PatternMismatch", ())
-    run_key, get_w = attrgetter("v", "smooth_by_components", "smooth_by_pattern"), attrgetter("w")
-    blocks: dict[tuple, list[str]] = {}
+    census_report = getattr(sys.modules.get(f"{__package__}.oracle"), "CensusReport", ())
 
-    def run(ms: list, pad: str) -> str:
-        (v, c, p), inner = run_key(ms[0]), pad + "  "
-        head = (
-            f'{{{inner}"smooth_by_components": {enc(c, inner)},'
-            f'{inner}"smooth_by_pattern": {enc(p, inner)},'
-            f'{inner}"v": {enc(list(v.entries), inner)},{inner}"w": '
-        )
-        key = (pad, *map(id, map(get_w, ms)))
-        if key not in blocks:
-            blocks[key] = [enc(list(m.w.entries), inner) + pad + "}" for m in ms]
-        return head + ("," + pad + head).join(blocks[key])
+    def product(rep, pad: str) -> str:
+        inner, field = pad + "  ", pad + "    "
+        sep = "," + inner
+        tails = [enc(list(w.entries), field) + inner + "}" for w in rep.smooth_ws]
+        heads = [
+            f'{{{field}"smooth_by_components": {enc(c, field)},'
+            f'{field}"smooth_by_pattern": {enc(p, field)},'
+            f'{field}"v": {enc(list(v.entries), field)},{field}"w": '
+            for v, c, p in rep.mismatch_rows
+        ]
+        rows = [head + (sep + head).join(tails) for head in heads] if tails else []
+        return "[" + inner + sep.join(rows) + pad + "]" if rows else "[]"
 
     def enc(x, pad: str) -> str:
         if x is None or x is True or x is False:
@@ -79,18 +71,13 @@ def to_json(data) -> str:
             return encode_basestring_ascii(x)
         if isinstance(x, int):
             return int.__repr__(x)
-        if isinstance(x, pattern_mismatch):
-            return run([x], pad)
+        if isinstance(x, census_report):
+            return product(x, pad)
         inner = pad + "  "
         if isinstance(x, list):
             items = []
             for t, group in groupby(x, type):
-                if t is int:
-                    items += map(int.__repr__, group)
-                elif t is pattern_mismatch:
-                    items += [run(list(ms), inner) for _, ms in groupby(group, run_key)]
-                else:
-                    items += [enc(y, inner) for y in group]
+                items += map(int.__repr__, group) if t is int else [enc(y, inner) for y in group]
             return "[" + inner + ("," + inner).join(items) + pad + "]" if x else "[]"
         if isinstance(x, dict):
             # encode_basestring_ascii raises TypeError on a non-str key
@@ -258,31 +245,19 @@ def _analysis_text(rep) -> str:
 
 
 def _census_text(rep) -> str:
-    """census's text, each index object formatted once: "    v=(...) w=" per v.
-
-    Both memos are keyed by id() for this call, while rep holds every index.
-    """
-    heads: dict[int, str] = {}
-    texts: dict[int, str] = {}
+    """census's text: one line per mismatch, each smooth w formatted once."""
+    ws = [str(w) for w in rep.smooth_ws]
     lines = [
         f"census of {rep.ctx}:",
         f"  total_pairs: {rep.total_pairs}",
         f"  smooth_count: {rep.smooth_count}",
         f"  singular_count: {rep.singular_count}",
-        f"  pattern mismatches: {len(rep.mismatches)}",
+        f"  pattern mismatches: {len(rep.mismatch_rows) * len(ws)}",
         f"  oracle mismatches: {len(rep.oracle_mismatches)}",
     ]
-    for m in rep.mismatches:
-        head = heads.get(id(m.v))
-        if head is None:
-            head = heads[id(m.v)] = f"    v={m.v} w="
-        w = texts.get(id(m.w))
-        if w is None:
-            w = texts[id(m.w)] = str(m.w)
-        lines.append(
-            f"{head}{w} components={str(m.smooth_by_components).lower()} "
-            f"pattern={str(m.smooth_by_pattern).lower()}"
-        )
+    for v, c, p in rep.mismatch_rows:
+        head, flags = f"    v={v} w=", f" components={str(c).lower()} pattern={str(p).lower()}"
+        lines += [head + w + flags for w in ws]
     if rep.consistency_failures:
         lines.append(f"  consistency failures: {len(rep.consistency_failures)}")
     for f in rep.consistency_failures:
@@ -298,12 +273,9 @@ def _verify_text(rep) -> str:
 
     lines = []
     for c in rep.censuses:
-        status = "ok"
-        if c.mismatches or c.oracle_mismatches or c.consistency_failures:
-            status = (
-                f"{len(c.mismatches)} pattern / {len(c.oracle_mismatches)} oracle "
-                f"mismatch(es)"
-            )
+        status, pattern = "ok", len(c.mismatch_rows) * len(c.smooth_ws)
+        if pattern or c.oracle_mismatches or c.consistency_failures:
+            status = f"{pattern} pattern / {len(c.oracle_mismatches)} oracle mismatch(es)"
             if c.consistency_failures:
                 status += f", {len(c.consistency_failures)} consistency failure(s)"
         lines.append(
@@ -342,14 +314,14 @@ def _execute(args: argparse.Namespace) -> tuple[int, str]:
 
         rep = verify(args.ctx)
         code = 0 if rep.passed else 1
-        data, text = lambda: rep._tree(False), lambda: _verify_text(rep)
+        data, text = rep._tree, lambda: _verify_text(rep)
     elif args.command == "census":
         if args.format == "csv":
             return 0, _census_csv(ctx)
         from .oracle import census
 
         rep = census(ctx)
-        data, text = lambda: rep._tree(False), lambda: _census_text(rep)
+        data, text = rep._tree, lambda: _census_text(rep)
     elif args.command == "analyze":
         from .criteria import analyze
 

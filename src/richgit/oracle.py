@@ -12,6 +12,8 @@ for any context.
 census covers every pair (v, w) with v <= v_min and w >= w_min of one
 coprime context from analyze on the pairs through (v_min, w_min),
 cross-checking the component criterion against the pattern shortcut.
+The pairs where they disagree are a product, kept factored in the
+report: the mismatch v's with their flags, and the w's they pair with.
 On the s = C(n,k)/n indices w >= w_min it also checks the walk against
 the cell oracle, and the clause verdicts it counts, A(w) and B(iota(w)),
 against the oracle's components (_side_check); the full sweep of I(k,n)
@@ -191,35 +193,46 @@ class ConsistencyFailure(_Record):
 
 @_record
 class CensusReport(_Record):
-    """Aggregate verdicts over all semistable-admitting pairs of one context."""
+    """Aggregate verdicts over all semistable-admitting pairs of one context.
+
+    The pattern mismatches are a product, kept factored: each row
+    (v, smooth_by_components, smooth_by_pattern) of mismatch_rows is
+    paired with every w of smooth_ws, v-major, so there are
+    len(mismatch_rows) * len(smooth_ws) of them.
+    """
 
     ctx: GrassCtx
     total_pairs: int
     smooth_count: int
     singular_count: int
-    mismatches: tuple[PatternMismatch, ...]
+    mismatch_rows: tuple[tuple[GrassIndex, bool, bool], ...]
+    smooth_ws: tuple[GrassIndex, ...]
     oracle_mismatches: tuple[OracleMismatch, ...]
     consistency_failures: tuple[ConsistencyFailure, ...]
     erratum_notes: tuple[str, ...]
 
-    def _tree(self, expand: bool) -> dict:
-        """to_dict(), with each PatternMismatch left a record unless expand (cli.to_json)."""
+    @property
+    def mismatches(self) -> tuple[PatternMismatch, ...]:
+        """The product as PatternMismatch records, v-major, built on each read."""
+        ws = self.smooth_ws
+        return tuple(PatternMismatch(v, w, c, p) for v, c, p in self.mismatch_rows for w in ws)
+
+    def _tree(self) -> dict:
+        """to_dict(), with "mismatches" left as self, which cli.to_json writes from the rows."""
         return {
             "k": self.ctx.k,
             "n": self.ctx.n,
             "total_pairs": self.total_pairs,
             "smooth_count": self.smooth_count,
             "singular_count": self.singular_count,
-            "mismatches": (
-                [m.to_dict() for m in self.mismatches] if expand else list(self.mismatches)
-            ),
+            "mismatches": self,
             "oracle_mismatches": [m.to_dict() for m in self.oracle_mismatches],
             "consistency_failures": [f.to_dict() for f in self.consistency_failures],
             "erratum_notes": list(self.erratum_notes),
         }
 
     def to_dict(self) -> dict:
-        return self._tree(True)
+        return {**self._tree(), "mismatches": [m.to_dict() for m in self.mismatches]}
 
 
 # Most admissible pairs one census covers.  G(5,14) has 20,449 and
@@ -330,11 +343,11 @@ def census(ctx: GrassCtx) -> CensusReport:
       analyze(v_min, w) is SMOOTH iff A(w);
       so (v, w) is SMOOTH iff both are, and a mismatch, with the flags
       of analyze(v, w_min), iff that is one and A(w) holds.
+    So the mismatches are a product, and the report keeps it factored:
+    the rows (v, B(v), P(v)) where B(v) != P(v), and the ws where A(w),
+    w_min among them, so each row stands for at least one mismatch.
     _side_check then checks those A and B verdicts, and the walk they
     rest on, against the cell oracle at every side index.
-    The mismatch records of one v share its index object and flags, and
-    each v's run of them pairs it with the same ws in the same order, so
-    cli.to_json writes each run as one join over one block of w tails.
     """
     _check_census(ctx)
     return _census(ctx)
@@ -343,21 +356,18 @@ def census(ctx: GrassCtx) -> CensusReport:
 def _census(ctx: GrassCtx) -> CensusReport:
     """census for a ctx that _check_census has passed."""
     lower, upper = _edge_reports(ctx)
-    ws = [r.pair.w for r in upper if r.verdict == SMOOTH]
+    ws = tuple([r.pair.w for r in upper if r.verdict == SMOOTH])
     total = len(lower) * len(upper)
     smooth = len(ws) * sum(r.verdict == SMOOTH for r in lower)
-    mismatches = [
-        PatternMismatch(r.pair.v, w, r.smooth_by_components, r.smooth_by_pattern)
-        for r in lower
-        if r.mismatch
-        for w in ws
-    ]
+    rows = tuple(
+        [(r.pair.v, r.smooth_by_components, r.smooth_by_pattern) for r in lower if r.mismatch]
+    )
     oracle_mismatches, failures = _side_check(ctx, lower, upper)
     notes = list(ERRATUM_NOTES)
-    if mismatches:
+    if rows:
         notes.append(
             f"In {ctx} the pattern shortcut disagrees with the component "
-            f"criterion at {len(mismatches)} pair(s).  The component criterion "
+            f"criterion at {len(rows) * len(ws)} pair(s).  The component criterion "
             "follows the geometric definition and is authoritative; the "
             "shortcut's lower-index clause is exact only where consecutive "
             "a-values step by exactly 2."
@@ -367,7 +377,8 @@ def _census(ctx: GrassCtx) -> CensusReport:
         total_pairs=total,
         smooth_count=smooth,
         singular_count=total - smooth,
-        mismatches=tuple(mismatches),
+        mismatch_rows=rows,
+        smooth_ws=ws,
         oracle_mismatches=oracle_mismatches,
         consistency_failures=failures,
         erratum_notes=tuple(notes),
@@ -427,16 +438,16 @@ class VerifyReport(_Record):
 
     @property
     def pattern_mismatch_total(self) -> int:
-        return sum(len(c.mismatches) for c in self.censuses)
+        return sum(len(c.mismatch_rows) * len(c.smooth_ws) for c in self.censuses)
 
     @property
     def oracle_mismatch_total(self) -> int:
         return sum(len(c.oracle_mismatches) for c in self.censuses)
 
-    def _tree(self, expand: bool) -> dict:
-        """to_dict(), with each PatternMismatch left a record unless expand (cli.to_json)."""
+    def _tree(self) -> dict:
+        """to_dict(), with each context its CensusReport._tree() (cli.to_json)."""
         return {
-            "contexts": [c._tree(expand) for c in self.censuses],
+            "contexts": [c._tree() for c in self.censuses],
             "examples": [e.to_dict() for e in self.examples],
             "pattern_mismatch_total": self.pattern_mismatch_total,
             "oracle_mismatch_total": self.oracle_mismatch_total,
@@ -444,7 +455,7 @@ class VerifyReport(_Record):
         }
 
     def to_dict(self) -> dict:
-        return self._tree(True)
+        return {**self._tree(), "contexts": [c.to_dict() for c in self.censuses]}
 
 
 def verify(ctxs: list[GrassCtx] | None = None) -> VerifyReport:
@@ -473,7 +484,7 @@ def verify(ctxs: list[GrassCtx] | None = None) -> VerifyReport:
             for v, w, exp in GOLDEN_VERDICTS
         )
     passed = all(
-        not (c.mismatches or c.oracle_mismatches or c.consistency_failures) for c in censuses
+        not (c.mismatch_rows or c.oracle_mismatches or c.consistency_failures) for c in censuses
     ) and all(e.ok for e in examples)
     return VerifyReport(censuses=censuses, examples=examples, passed=passed)
 

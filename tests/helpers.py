@@ -98,7 +98,9 @@ def per_pair_census(ctx):
 def census_text(rep):
     """census's text output, each mismatch line formatted on its own.
 
-    The reference for cli._census_text, which formats each index once.
+    It reads rep.mismatches, the PatternMismatch records of the product:
+    the reference for cli._census_text, which reads the factored rows and
+    ws and formats each smooth w once.
     """
     lines = [
         f"census of {rep.ctx}:",

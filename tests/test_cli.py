@@ -183,20 +183,17 @@ def json_trees(leaves):
 JSON_TREES = json_trees(JSON_SCALARS)
 INTS = [3, 5, 7, 9]
 
-# PatternMismatch records as to_json writes them: from a few index objects
-# of G(3,7), each drawn as itself or as an equal but distinct copy
+# hand-built census products: from a few index objects of G(3,7), each
+# drawn as itself or as an equal but distinct copy
 G37 = GrassCtx(3, 7)
 POOL = [make_index(e, G37) for e in [(1, 2, 4), (1, 3, 5), (2, 4, 6), (3, 5, 7)]]
 POOL_INDICES = st.sampled_from(POOL).flatmap(
     lambda i: st.sampled_from([i, make_index(i.entries, G37)])
 )
-RECORDS = st.builds(PatternMismatch, POOL_INDICES, POOL_INDICES, st.booleans(), st.booleans())
+ROWS = st.lists(st.tuples(POOL_INDICES, st.booleans(), st.booleans()), max_size=6)
+WS = st.lists(POOL_INDICES, max_size=6)
 A, B, C = POOL[:3]
-M_TF = PatternMismatch(A, B, True, False)
-M_FT = PatternMismatch(A, C, False, True)
-M_TC = PatternMismatch(A, C, True, False)
-M_BB = PatternMismatch(B, B, True, False)
-M_TD = PatternMismatch(A, POOL[3], True, False)
+A_TF, A_FT = (A, True, False), (A, False, True)
 
 
 class LoudInt(int):
@@ -208,21 +205,34 @@ class LoudInt(int):
     __str__ = __repr__
 
 
-def expand(data):
-    """data with each PatternMismatch replaced by its to_dict(), the stdlib's reference."""
-    if isinstance(data, PatternMismatch):
-        return data.to_dict()
-    if isinstance(data, list):
-        return [expand(x) for x in data]
-    if isinstance(data, dict):
-        return {k: expand(v) for k, v in data.items()}
-    return data
+def census_report(rows, ws):
+    """A CensusReport of G(3,7) built by hand around the product rows x ws."""
+    n = len(rows) * len(ws)
+    return CensusReport(G37, n, 0, n, tuple(rows), tuple(ws), (), (), ())
 
 
-def census_report(mismatches):
-    """A CensusReport of G(3,7) built by hand around mismatches."""
-    n = len(mismatches)
-    return CensusReport(G37, n, 0, n, tuple(mismatches), (), (), ())
+# census_report's examples for both writers: no rows; rows with no ws; one v
+# object with mixed flags, not v-major; an equal but distinct v; a v that is
+# some w; int flags after equal bools, which to_json writes as ints
+HAND_BUILT = [
+    census_report([], [B, C]),
+    census_report([A_TF, A_FT], []),
+    census_report([A_TF, A_FT, (B, True, False), A_TF], [B, C]),
+    census_report(
+        [A_TF, (make_index(A.entries, G37), True, False)], [B, make_index(B.entries, G37)]
+    ),
+    census_report([(B, False, True), A_TF, (C, True, True)], [A, B]),
+    census_report([A_TF, (A, 1, 0)], [B, C]),
+]
+
+
+def hand_built(test):
+    """test(rep) over drawn census_report(ROWS, WS), and every HAND_BUILT report."""
+    for rep in HAND_BUILT:
+        test = example(rep)(test)
+    return settings(max_examples=200, deadline=None, derandomize=True, database=None)(
+        given(st.builds(census_report, ROWS, WS))(test)
+    )
 
 
 class TestToJson:
@@ -248,43 +258,18 @@ class TestToJson:
     @pytest.mark.parametrize(
         "data",
         [1.5, [0.0], {"a": float("nan")}, {1, 2}, [frozenset()], (1, 2), {1: "a"},
-         {"a": 1, 2: "b"}, {None: 1}, {True: 1}, b"x", object()],
+         {"a": 1, 2: "b"}, {None: 1}, {True: 1}, b"x", object(),
+         PatternMismatch(A, B, True, False)],
         ids=["float", "float-in-list", "nan", "set", "frozenset", "tuple", "int-key",
-             "mixed-keys", "none-key", "bool-key", "bytes", "object"],
+             "mixed-keys", "none-key", "bool-key", "bytes", "object", "record"],
     )
     def test_other_types_raise(self, data):
         with pytest.raises(TypeError):
             to_json(data)
 
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-    @given(json_trees(JSON_SCALARS | RECORDS))
-    # one record at two depths: each tail is written at its own indent
-    @example({"a": [M_TF], "b": [[M_TF]], "c": M_TF})
-    # mixed flags for one v object
-    @example([M_TF, M_FT, PatternMismatch(A, B, False, False), PatternMismatch(A, B, True, True)])
-    # two runs of one v object, with a run of another v between them
-    @example([M_TF, M_TC, M_BB, M_TF, M_TC])
-    # two runs of one v whose w sequences have one length but differ: the
-    # tails are memoized for the w objects, not for the run's length
-    @example([M_TF, M_TC, M_FT, PatternMismatch(A, B, False, True)])
-    @example({"a": [M_TF, M_TC], "b": [M_TF, M_TD]})
-    # a run broken by a v that is equal but a distinct object
-    @example([M_TF, PatternMismatch(make_index(A.entries, G37), C, True, False), M_TF])
-    # records among ints and None
-    @example([M_TF, 1, None, M_TF, M_FT, 2, 3, [M_TF, 4], None, M_BB])
-    def test_records_match_stdlib(self, data):
-        assert to_json(data) == pretty(expand(data))
-
-    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-    @given(st.lists(RECORDS, max_size=12).map(census_report))
-    @example(census_report([]))
-    @example(census_report([M_TF]))
-    # shared index objects, mixed flags for one v, not v-major
-    @example(census_report([M_TF, M_FT, M_BB, M_TF]))
-    # equal but distinct index objects
-    @example(census_report([M_TF, PatternMismatch(make_index(A.entries, G37), B, True, False)]))
+    @hand_built
     def test_hand_built_census(self, rep):
-        assert to_json(rep._tree(False)) == pretty(rep.to_dict())
+        assert to_json(rep._tree()) == pretty(rep.to_dict())
 
     @pytest.mark.parametrize(
         "ctx", [*coprime_ctxs(12), GrassCtx(5, 14), GrassCtx(7, 16)], ids=str
@@ -311,16 +296,25 @@ class TestToJson:
         assert_same_text(out, pretty(verify().to_dict()))
 
     @pytest.mark.parametrize(
-        "argv", [census_argv(5, 14, "json"), ["verify", "--format", "json"]], ids=["census", "verify"]
+        "argv, shown",
+        [
+            (census_argv(5, 14, "json"), '"smooth_by_pattern": false'),
+            (["verify", "--format", "json"], '"smooth_by_pattern": false'),
+            (census_argv(5, 14), " components=true pattern=false\n"),
+            (["verify"], " pattern / 0 oracle mismatch(es)]\n"),
+        ],
+        ids=["census", "verify", "census-text", "verify-text"],
     )
-    def test_json_builds_no_record_dict(self, capsys, monkeypatch, argv):
+    def test_json_builds_no_record_dict(self, capsys, monkeypatch, argv, shown):
+        # every writer reads the report's rows and ws and builds no PatternMismatch
         expected = run_cli(capsys, *argv)
-        assert '"smooth_by_pattern"' in expected[1]
+        assert shown in expected[1]
 
-        def refuse(self):
-            raise AssertionError("the CLI built a dict for a PatternMismatch")
+        def refuse(*args):
+            raise AssertionError("the CLI built a PatternMismatch")
 
-        monkeypatch.setattr(PatternMismatch, "to_dict", refuse)
+        monkeypatch.setattr(PatternMismatch, "__init__", refuse)
+        monkeypatch.setattr(PatternMismatch, "_trusted", staticmethod(refuse))
         code, out, err = run_cli(capsys, *argv)
         assert (code, err) == expected[::2]
         assert_same_text(out, expected[1])
@@ -518,25 +512,20 @@ class TestCensus:
         assert code == 0
         assert_same_text(out, census_text(census(ctx)))
 
-    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-    @given(st.lists(RECORDS, max_size=12).map(census_report))
-    @example(census_report([]))
-    # shared index objects, mixed flags for one v, not v-major
-    @example(census_report([M_TF, M_FT, PatternMismatch(B, B, True, False), M_TF]))
-    # equal but distinct index objects on both sides
-    @example(
-        census_report(
-            [M_TF, PatternMismatch(make_index(A.entries, G37), make_index(B.entries, G37), True, False)]
-        )
-    )
-    # a v that is some record's w
-    @example(census_report([PatternMismatch(B, A, False, True), M_TF, PatternMismatch(C, B, True, True)]))
+    @hand_built
     def test_hand_built_text(self, rep):
         assert _census_text(rep) == census_text(rep)
 
+    def test_text_g716_digest(self, capsys):
+        # 21,574 lines: the per-line reference stops at G(5,14)
+        out = run_cli(capsys, *census_argv(7, 16))[1]
+        assert (out.count("\n"), len(out)) == (21_574, 1_635_956)
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == "7a2ad89a097759d59a185ce616f10bf2b6204f7f75cdd44d6a46de2b864cae8c"
+
     def test_text_consistency_failures(self):
         failures = (ConsistencyFailure("A", B, True), ConsistencyFailure("B", A, False))
-        rep = CensusReport(G37, 2, 0, 2, (M_TF, M_FT), (), failures, ())
+        rep = CensusReport(G37, 2, 0, 2, (A_TF,), (B, C), (), failures, ())
         assert _census_text(rep) == census_text(rep)
         assert _census_text(rep).endswith(
             "  consistency failures: 2\n"
@@ -741,6 +730,8 @@ class TestVerify:
     def test_divergent_context_exit_1(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--ctx", "3,8")
         assert code == 1
+        # one mismatch v times seven smooth ws
+        assert "G(3,8): pairs=49 smooth=49 singular=0 [7 pattern / 0 oracle mismatch(es)]\n" in out
         assert "passed: false" in out
 
     def test_pair_guard_exit_2(self, capsys, monkeypatch):

@@ -20,6 +20,7 @@ A and B are defined here from the public component functions only.
 from richgit import (
     SMOOTH,
     analyze,
+    census,
     complement_index,
     indices_above,
     indices_below,
@@ -116,11 +117,14 @@ def test_side_table_up_to_14():
     for ctx in coprime_ctxs(14):
         mp = minimal_pair(ctx)
         vs = indices_below(mp.v_min)
-        table[ctx.k, ctx.n] = (
+        _, a, m = table[ctx.k, ctx.n] = (
             len(vs),
             sum(A(w, mp) for w in indices_above(mp.w_min)),
             sum(B(v, mp) != P(v, mp) for v in vs),
         )
+        # census keeps the product factored: {w : A(w)} and M_v, and |B| = |A|
+        rep = census(ctx)
+        assert (len(rep.smooth_ws), len(rep.mismatch_rows), rep.smooth_count) == (a, m, a**2), ctx
     assert table == SIDE_TABLE
     # s and |A| are symmetric under k <-> n-k; |M_v| is not (G(3,8) 1, G(5,8) 0)
     assert all(table[n - k, n][:2] == sa[:2] for (k, n), sa in table.items())
