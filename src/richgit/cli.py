@@ -180,35 +180,35 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _census_csv(ctx: GrassCtx) -> str:
-    """census's pairs as rows, written per v from per-side text.
+    """census's pairs as rows, written per v from the rows of its side table.
 
-    Raises what census raises before any work (oracle._check_census).
-    By census's proof (v, w) is smooth iff B(v) and A(w), that is iff
-    analyze(v, w_min) and analyze(v_min, w) are SMOOTH, and its dimension
-    is |w| - |v| (entry sums).  So a row depends on v only through its
-    text, |v| and B(v): each v's rows are one join, behind "k,n,v,", of
-    the w tails "w,dimension,true,smooth" built once per (|v|, B(v)).
+    Raises what census raises before any work (oracle._check_census),
+    then reads the side table of oracle._sides: (v, B(v), P(v)) for each
+    v <= v_min and (w, A(w)) for each w >= w_min.  By census's proof
+    (v, w) is smooth iff B(v) and A(w), and its dimension is |w| - |v|
+    (entry sums).  So a row depends on v only through its text, |v| and
+    B(v): each v's rows are one join, behind "k,n,v,", of the w tails
+    "w,dimension,true,smooth" built once per (|v|, B(v)).
     The bytes are those of ``csv.writer(buf, lineterminator="\\n")`` with its
     default QUOTE_MINIMAL: each side's index field is formatted once and
     quoted iff it holds a comma, so a one-entry index of G(1,n) is bare.
-    tests/test_oracle.py::test_census_equals_per_pair_analyze and
-    tests/test_cli.py::TestCensus::test_csv_quoting pin them.
+    tests/test_oracle.py::TestCensus::test_census_equals_per_pair_analyze
+    and tests/test_cli.py::TestCensus::test_csv_quoting pin them.
     """
-    from .criteria import SMOOTH
-    from .oracle import _check_census, _edge_reports
+    from .oracle import _check_census, _sides
 
     _check_census(ctx)
-    lower, upper = _edge_reports(ctx)
+    lower, upper = _sides(ctx)
 
-    def side(e, r):
+    def side(e, ok):
         text = ",".join(map(str, e))
-        return (f'"{text}"' if "," in text else text), sum(e), r.verdict == SMOOTH
+        return (f'"{text}"' if "," in text else text), sum(e), ok
 
-    ws = [side(r.pair.w.entries, r) for r in upper]
+    ws = [side(w.entries, a) for w, a in upper]
     blocks: dict[tuple[int, bool], list[str]] = {}
     rows = ["k,n,v,w,dimension,has_semistable,smooth\n"]
-    for r in lower:
-        v, v_sum, v_ok = side(r.pair.v.entries, r)
+    for index, b, _ in lower:
+        v, v_sum, v_ok = side(index.entries, b)
         tails = blocks.get((v_sum, v_ok))
         if tails is None:
             tails = blocks[v_sum, v_ok] = [

@@ -308,11 +308,13 @@ def make_index(values: Sequence[int], ctx: GrassCtx) -> GrassIndex:
 
 def enumerate_indices(ctx: GrassCtx) -> list[GrassIndex]:
     """All C(n,k) elements of I(k,n) in lexicographic order."""
+    _require_type("ctx", ctx, GrassCtx)
     return [_index(c, ctx) for c in combinations(range(1, ctx.n + 1), ctx.k)]
 
 
 def length(w: GrassIndex) -> int:
     """Dimension of the Schubert variety X(w): the box count of its diagram."""
+    _require_type("w", w, GrassIndex)
     k = len(w.entries)
     return sum(w.entries) - k * (k + 1) // 2
 
@@ -375,12 +377,14 @@ def _interval(lo: tuple[int, ...], hi: tuple[int, ...]) -> list[tuple[int, ...]]
 
 def indices_below(bound: GrassIndex) -> list[GrassIndex]:
     """All a in I(k,n) with a <= bound, in lexicographic order."""
+    _require_type("bound", bound, GrassIndex)
     ctx = bound.ctx
     return [_index(p, ctx) for p in _interval(tuple(range(1, ctx.k + 1)), bound.entries)]
 
 
 def indices_above(bound: GrassIndex) -> list[GrassIndex]:
     """All a in I(k,n) with a >= bound, in lexicographic order."""
+    _require_type("bound", bound, GrassIndex)
     ctx = bound.ctx
     k, n = ctx.k, ctx.n
     return [_index(p, ctx) for p in _interval(bound.entries, tuple(range(n - k + 1, n + 1)))]

@@ -66,11 +66,13 @@ _partition = BoxedPartition._trusted
 
 def to_partition(w: GrassIndex) -> BoxedPartition:
     """Part sequence of the diagram of X(w): row i holds w_i - i boxes."""
+    _require_type("w", w, GrassIndex)
     return _partition(tuple(e - i for i, e in enumerate(w.entries, start=1)), w.ctx)
 
 
 def from_partition(p: BoxedPartition) -> GrassIndex:
     """Inverse of to_partition: entry i is parts[i] + i."""
+    _require_type("p", p, BoxedPartition)
     return _index(tuple(part + i for i, part in enumerate(p.parts, start=1)), p.ctx)
 
 
@@ -106,6 +108,7 @@ def render_skew(rid: RichardsonId) -> str:
     exactly length(v) 'v' cells and dim X^v_w '#' cells.  No trailing
     whitespace; rows joined by newlines.
     """
+    _require_type("rid", rid, RichardsonId)
     width = rid.ctx.n - rid.ctx.k
     inner, outer = to_partition(rid.v).parts, to_partition(rid.w).parts
     return "\n".join(

@@ -10,14 +10,16 @@ only to report a disagreement.  oracle_sweep runs it over all of I(k,n),
 for any context.
 
 census covers every pair (v, w) with v <= v_min and w >= w_min of one
-coprime context from analyze on the pairs through (v_min, w_min),
-cross-checking the component criterion against the pattern shortcut.
-The pairs where they disagree are a product, kept factored in the
-report: the mismatch v's with their flags, and the w's they pair with.
-On the s = C(n,k)/n indices w >= w_min it also checks the walk against
-the cell oracle, and the clause verdicts it counts, A(w) and B(iota(w)),
-against the oracle's components (_side_check); the full sweep of I(k,n)
-is a test, not part of census.
+coprime context from its side table (_sides): the rows (v, B(v), P(v))
+of one side and (w, A(w)) of the other, read from analyze on the pairs
+through (v_min, w_min).  Every pair's verdict is a product of those
+flags, by the component criterion and by the pattern shortcut, and the
+pairs where the two disagree are a product too, kept factored in the
+report: the lower rows with B(v) != P(v), and the w's with A(w).  On the
+s = C(n,k)/n indices w >= w_min it also checks the walk against the cell
+oracle, and the flags A(w) and B(iota(w)) against the oracle's
+components (_side_check); the full sweep of I(k,n) is a test, not part
+of census.
 verify aggregates censuses over a context list (default: all coprime
 (k, n) with n <= 12) into one deterministic, machine-readable report.
 """
@@ -35,13 +37,13 @@ from .core import (
     _Record,
     _fmt_ctx,
     _record,
+    _require_type,
     indices_above,
     indices_below,
 )
 from .criteria import (
     SINGULAR,
     SMOOTH,
-    AnalysisReport,
     _minimal_pair,
     _require_coprime,
     analyze,
@@ -146,6 +148,7 @@ def oracle_sweep(ctx: GrassCtx) -> tuple[OracleMismatch, ...]:
     Any context, coprime or not; census checks only the indices its
     verdicts read (_side_check).
     """
+    _require_type("ctx", ctx, GrassCtx)
     out = []
     for e in combinations(range(1, ctx.n + 1), ctx.k):
         mismatch = _walk_check(e, ctx)[1]
@@ -174,11 +177,11 @@ class PatternMismatch(_Record):
 
 @_record
 class ConsistencyFailure(_Record):
-    """Side index where a clause verdict census counts and the cell oracle disagree.
+    """Side index where a flag of the side table (_sides) and the cell oracle disagree.
 
-    clause "A" names w >= w_min and reads A(w) from analyze(v_min, w);
-    clause "B" names v <= v_min and reads B(v) from analyze(v, w_min).
-    holds is that verdict.  The oracle says the opposite: the clause
+    clause "A" names a w >= w_min and the flag A(w) of its row;
+    clause "B" names a v <= v_min and the flag B(v) of its row.
+    holds is that flag.  The oracle says the opposite: the clause
     holds iff no oracle component of X(w) is >= w_min, for w = index
     under A and w = iota(index) under B.
     """
@@ -286,48 +289,54 @@ def _check_census(ctx: GrassCtx) -> int:
     return indices
 
 
-def _edge_reports(ctx: GrassCtx) -> tuple[list[AnalysisReport], list[AnalysisReport]]:
-    """[analyze(v, w_min) for v <= v_min], [analyze(v_min, w) for w >= w_min].
+def _sides(
+    ctx: GrassCtx,
+) -> tuple[list[tuple[GrassIndex, bool, bool]], list[tuple[GrassIndex, bool]]]:
+    """The side table: [(v, B(v), P(v)) for v <= v_min], [(w, A(w)) for w >= w_min].
 
     Each side in lexicographic order; callers run _check_census first.
+    B(v) and P(v) are the component and pattern flags of
+    analyze(v, w_min), and A(w) is analyze(v_min, w) being SMOOTH, so
+    analyze runs on the 2s edge pairs only, on the indices the two
+    interval scans build.
     """
     mp = _minimal_pair(ctx)
-    return (
-        [analyze(v, mp.w_min, ctx) for v in indices_below(mp.v_min)],
-        [analyze(mp.v_min, w, ctx) for w in indices_above(mp.w_min)],
-    )
+    lower = []
+    for v in indices_below(mp.v_min):
+        r = analyze(v, mp.w_min, ctx)
+        lower.append((v, r.smooth_by_components, r.smooth_by_pattern))
+    upper = [(w, analyze(mp.v_min, w, ctx).verdict == SMOOTH) for w in indices_above(mp.w_min)]
+    return lower, upper
 
 
 def _side_check(
-    ctx: GrassCtx, lower: list[AnalysisReport], upper: list[AnalysisReport]
+    ctx: GrassCtx,
+    lower: list[tuple[GrassIndex, bool, bool]],
+    upper: list[tuple[GrassIndex, bool]],
 ) -> tuple[tuple[OracleMismatch, ...], tuple[ConsistencyFailure, ...]]:
-    """Walk mismatches and clause failures on the side indices of _edge_reports.
+    """Walk mismatches and clause failures on the rows of the side table (_sides).
 
-    For each w >= w_min, in upper's order, _walk_check compares the walk
-    with the cell oracle, and A(w) (analyze(v_min, w) is SMOOTH) must hold
-    iff no oracle component is >= w_min, by analyze's lemma.  For each
-    v <= v_min, in lower's order, B(v) (analyze(v, w_min) by components)
-    must hold iff the same is true of w = iota(v): iota (diagrams._iota)
-    reverses the Bruhat order and swaps v_min and w_min, and the opposite
-    components of X^v are the iota-images of the Schubert components of
-    X(iota(v)).  So the oracle runs once on each of the s indices w.
+    For each row (w, A(w)) of upper, in its order, _walk_check compares
+    the walk with the cell oracle, and A(w) must hold iff no oracle
+    component is >= w_min, by analyze's lemma.  For each row (v, B(v), _)
+    of lower, in its order, B(v) must hold iff the same is true of
+    w = iota(v): iota (diagrams._iota) reverses the Bruhat order and swaps
+    v_min and w_min, and the opposite components of X^v are the
+    iota-images of the Schubert components of X(iota(v)).  So the oracle
+    runs once on each of the s indices w.
     """
     a = _minimal_pair(ctx).a
-    walk, failures = [], []
-    clean = {}
-    for r in upper:
-        w = r.pair.w
+    walk, failures, clean = [], [], {}
+    for w, holds in upper:
         oracle, mismatch = _walk_check(w.entries, ctx)
         if mismatch is not None:
             walk.append(mismatch)
-        holds = r.verdict == SMOOTH
         clean[w.entries] = not any(all(map(le, a, c)) for c in oracle)
         if holds != clean[w.entries]:
             failures.append(ConsistencyFailure("A", w, holds))
-    for r in lower:
-        holds = r.smooth_by_components
-        if holds != clean[_iota(r.pair.v.entries, ctx.n)]:
-            failures.append(ConsistencyFailure("B", r.pair.v, holds))
+    for v, holds, _ in lower:
+        if holds != clean[_iota(v.entries, ctx.n)]:
+            failures.append(ConsistencyFailure("B", v, holds))
     return tuple(walk), tuple(failures)
 
 
@@ -336,18 +345,19 @@ def census(ctx: GrassCtx) -> CensusReport:
 
     Raises what _check_census raises before any work: NotCoprime, or
     GrassError past MAX_PAIRS pairs or MAX_SIDE_CELLS side cells.
-    analyze runs on the 2s edge pairs of _edge_reports only (s = C(n,k)/n).
+    Every verdict is read from the side table of _sides, which runs
+    analyze on the 2s edge pairs only (s = C(n,k)/n).
     In analyze's terms (v, w) is smooth by components iff A(w) and B(v),
     by pattern iff A(w) and P(v), and A(w_min), B(v_min), P(v_min) hold:
       analyze(v, w_min) has B(v) by components and P(v) by pattern;
       analyze(v_min, w) is SMOOTH iff A(w);
-      so (v, w) is SMOOTH iff both are, and a mismatch, with the flags
-      of analyze(v, w_min), iff that is one and A(w) holds.
+      so the table's rows are (v, B(v), P(v)) and (w, A(w)), (v, w) is
+      SMOOTH iff B(v) and A(w), and a mismatch iff B(v) != P(v) and A(w).
     So the mismatches are a product, and the report keeps it factored:
-    the rows (v, B(v), P(v)) where B(v) != P(v), and the ws where A(w),
-    w_min among them, so each row stands for at least one mismatch.
-    _side_check then checks those A and B verdicts, and the walk they
-    rest on, against the cell oracle at every side index.
+    the lower rows where B(v) != P(v), as the table holds them, and the
+    ws where A(w), w_min among them, so each row stands for at least one
+    mismatch.  _side_check then checks the table's A and B flags, and
+    the walk they rest on, against the cell oracle at every side index.
     """
     _check_census(ctx)
     return _census(ctx)
@@ -355,13 +365,11 @@ def census(ctx: GrassCtx) -> CensusReport:
 
 def _census(ctx: GrassCtx) -> CensusReport:
     """census for a ctx that _check_census has passed."""
-    lower, upper = _edge_reports(ctx)
-    ws = tuple([r.pair.w for r in upper if r.verdict == SMOOTH])
+    lower, upper = _sides(ctx)
+    ws = tuple([w for w, holds in upper if holds])
     total = len(lower) * len(upper)
-    smooth = len(ws) * sum(r.verdict == SMOOTH for r in lower)
-    rows = tuple(
-        [(r.pair.v, r.smooth_by_components, r.smooth_by_pattern) for r in lower if r.mismatch]
-    )
+    smooth = len(ws) * sum(b for _, b, _ in lower)
+    rows = tuple([row for row in lower if row[1] != row[2]])
     oracle_mismatches, failures = _side_check(ctx, lower, upper)
     notes = list(ERRATUM_NOTES)
     if rows:

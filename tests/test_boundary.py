@@ -34,9 +34,12 @@ from richgit import (
     has_semistable,
     indices_above,
     indices_below,
+    length,
     make_index,
     minimal_pair,
     opposite_singular_components,
+    oracle_sweep,
+    render_skew,
     richardson_singular_components,
     schubert_singular_components,
     to_partition,
@@ -187,6 +190,18 @@ class TestBoundaryChecks:
             # a generator was once used up by verify's checks before any census
             (lambda: verify(c for c in [DUCK]), NOT_A_CTX),
             (lambda: verify(G25), "ctxs must be an iterable, not GrassCtx"),
+            # these once read an attribute of the argument and raised AttributeError
+            (lambda: enumerate_indices((2, 5)), "ctx must be a GrassCtx, not tuple"),
+            (lambda: indices_below((1, 3)), "bound must be a GrassIndex, not tuple"),
+            (lambda: indices_above((3, 5)), "bound must be a GrassIndex, not tuple"),
+            (lambda: length((3, 5)), "w must be a GrassIndex, not tuple"),
+            (lambda: to_partition((3, 5)), "w must be a GrassIndex, not tuple"),
+            (lambda: from_partition((1, 2)), "p must be a BoxedPartition, not tuple"),
+            (
+                lambda: render_skew((make_index((1, 3), G25), make_index((3, 5), G25))),
+                "rid must be a RichardsonId, not tuple",
+            ),
+            (lambda: oracle_sweep(DUCK), NOT_A_CTX),
         ],
         ids=["index-ctx", "partition-ctx", "pair-v", "pair-w", "analyze-ctx", "census-ctx",
              "minimal-pair-ctx", "verify-ctx", "make-index-values", "analyze-v",
@@ -195,7 +210,10 @@ class TestBoundaryChecks:
              "minimal-pair-list-ctx",
              "index-duck-ctx", "make-index-duck-ctx", "analyze-duck-ctx",
              "minimal-pair-duck-ctx", "census-duck-ctx", "verify-duck-ctx",
-             "verify-generator-duck-ctx", "verify-one-ctx"],
+             "verify-generator-duck-ctx", "verify-one-ctx",
+             "enumerate-indices-ctx", "indices-below-bound", "indices-above-bound",
+             "length-w", "to-partition-w", "from-partition-p", "render-skew-rid",
+             "oracle-sweep-duck-ctx"],
     )
     def test_wrong_types_are_named(self, build, message):
         with pytest.raises(GrassError) as exc:

@@ -587,26 +587,32 @@ class TestCensus:
 
     @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
     def test_each_census_path_checks_once(self, capsys, monkeypatch, fmt):
-        calls = []
-        real = richgit.oracle._check_census
+        # each run checks a context once, then builds its side table once
+        calls, sides = [], []
+        real, real_sides = richgit.oracle._check_census, richgit.oracle._sides
 
         def counting(ctx):
             calls.append(ctx)
             return real(ctx)
 
+        def counting_sides(ctx):
+            sides.append(ctx)
+            return real_sides(ctx)
+
         monkeypatch.setattr(richgit.oracle, "_check_census", counting)
+        monkeypatch.setattr(richgit.oracle, "_sides", counting_sides)
         assert main(census_argv(4, 9, fmt)) == 0
-        assert calls == [GrassCtx(4, 9)]
+        assert calls == sides == [GrassCtx(4, 9)]
         census(GrassCtx(3, 8))
-        assert calls == [GrassCtx(4, 9), GrassCtx(3, 8)]
+        assert calls == sides == [GrassCtx(4, 9), GrassCtx(3, 8)]
         # verify checks every context up front, and its censuses do not
         # check again; the pattern shortcut diverges in G(3,8), so neither passes
-        del calls[:]
+        del calls[:], sides[:]
         assert not verify([GrassCtx(3, 8), GrassCtx(4, 9)]).passed
-        assert calls == [GrassCtx(3, 8), GrassCtx(4, 9)]
-        del calls[:]
+        assert calls == sides == [GrassCtx(3, 8), GrassCtx(4, 9)]
+        del calls[:], sides[:]
         assert main(["verify", "--ctx", "3,8", "--ctx", "4,9"]) == 1
-        assert calls == [GrassCtx(3, 8), GrassCtx(4, 9)]
+        assert calls == sides == [GrassCtx(3, 8), GrassCtx(4, 9)]
 
     @pytest.mark.parametrize(
         "argv",

@@ -1,7 +1,8 @@
 """The product structure of the census, pinned from the component functions.
 
-census builds its verdicts from this product (see its docstring);
-test_oracle.py checks it there against analyze on every pair.
+census builds its verdicts from this product (see its docstring), read
+from the rows of its side table; test_oracle.py checks it there against
+analyze on every pair.
 
 On the admissible rectangle (v <= v_min, w >= w_min) of a coprime
 context, write
@@ -28,6 +29,7 @@ from richgit import (
     opposite_singular_components,
     schubert_singular_components,
 )
+from richgit.oracle import _sides
 
 from helpers import coprime_ctxs
 
@@ -116,15 +118,16 @@ def test_side_table_up_to_14():
     table = {}
     for ctx in coprime_ctxs(14):
         mp = minimal_pair(ctx)
-        vs = indices_below(mp.v_min)
-        _, a, m = table[ctx.k, ctx.n] = (
-            len(vs),
-            sum(A(w, mp) for w in indices_above(mp.w_min)),
-            sum(B(v, mp) != P(v, mp) for v in vs),
-        )
+        lower = [(v, B(v, mp), P(v, mp)) for v in indices_below(mp.v_min)]
+        upper = [(w, A(w, mp)) for w in indices_above(mp.w_min)]
+        # census's side table holds these flags, whatever it computes them from
+        assert _sides(ctx) == (lower, upper), ctx
         # census keeps the product factored: {w : A(w)} and M_v, and |B| = |A|
         rep = census(ctx)
-        assert (len(rep.smooth_ws), len(rep.mismatch_rows), rep.smooth_count) == (a, m, a**2), ctx
+        assert rep.mismatch_rows == tuple(row for row in lower if row[1] != row[2]), ctx
+        assert rep.smooth_ws == tuple(w for w, a in upper if a), ctx
+        _, a, m = table[ctx.k, ctx.n] = (len(lower), len(rep.smooth_ws), len(rep.mismatch_rows))
+        assert rep.smooth_count == a**2, ctx
     assert table == SIDE_TABLE
     # s and |A| are symmetric under k <-> n-k; |M_v| is not (G(3,8) 1, G(5,8) 0)
     assert all(table[n - k, n][:2] == sa[:2] for (k, n), sa in table.items())
