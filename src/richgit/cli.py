@@ -2,7 +2,8 @@
 
 Tuples are 1-based comma-separated integers (e.g. --v 1,3,5,7).  Results
 go to stdout (or --out), diagnostics to stderr.  Exit codes: 0 success,
-1 verify found mismatches, 2 invalid input.  JSON mode emits exactly one
+1 verify found mismatches, 2 invalid input or output that cannot be
+written (--out, or a stdout pipe closed early).  JSON mode emits exactly one
 top-level object with sorted keys, so parse-and-reserialize is idempotent.
 
 Importing this module and building its parser load no library module, so
@@ -17,6 +18,7 @@ tests/test_cli.py::test_each_command_loads_only_its_modules.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from collections.abc import Sequence
 
@@ -367,15 +369,19 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    if args.out:
-        try:
+    try:
+        if args.out:
             with open(args.out, "w", encoding="utf-8", newline="") as fh:
                 fh.write(out)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    else:
-        sys.stdout.write(out)
+        else:
+            sys.stdout.write(out)
+            sys.stdout.flush()
+    except OSError as exc:
+        if not args.out:
+            # stdout is gone (a closed pipe): the flush at exit would fail again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return code
 
 

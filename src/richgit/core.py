@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from itertools import combinations
-from operator import le, lt
+from operator import le
 
 __all__ = [
     "ContextMismatch",
@@ -226,12 +226,15 @@ class GrassIndex(_Record):
     (Python's reflected operator), and either operator raises TypeError
     when one side is not an index.
 
-    Construction validates the entries: a tuple of ints (bools rejected),
-    then length, range and strict increase; a ctx that is not a GrassCtx
-    is refused too.  Indices the library derives from valid ones
-    (enumeration, partitions, complements, hook removal) are built by
-    _index, the class's generated _trusted constructor (see _record),
-    which skips that check.
+    Construction validates the entries, one check at a time, and raises
+    for the first that fails: a tuple, a GrassCtx for ctx, ints (bools
+    rejected), the length, then range and strict increase position by
+    position.  criteria.analyze's fused test on a pair of raw tuples
+    accepts exactly the pairs that pass these checks and v <= w, and the
+    tests pin the two to the same reports and errors.  Indices the
+    library derives from valid ones (enumeration, partitions,
+    complements, hook removal) are built by _index, the class's generated
+    _trusted constructor (see _record), which skips that check.
     """
 
     entries: tuple[int, ...]
@@ -239,33 +242,19 @@ class GrassIndex(_Record):
 
     def __post_init__(self) -> None:
         entries, ctx = self.entries, self.ctx
-        # Fast path: a valid index passes these C-level checks without a
-        # Python loop (type() is exact, so a bool fails {int}).  Anything
-        # else takes the checks below, which raise for the first failing one.
-        if (
-            type(entries) is tuple
-            and isinstance(ctx, GrassCtx)
-            and len(entries) == ctx.k
-            and set(map(type, entries)) == {int}
-            and 1 <= entries[0]
-            and entries[-1] <= ctx.n
-            and all(map(lt, entries, entries[1:]))
-        ):
-            return
-        if type(self.entries) is not tuple:
-            raise GrassError(f"entries must be a tuple, not {type(self.entries).__name__}")
+        if type(entries) is not tuple:
+            raise GrassError(f"entries must be a tuple, not {type(entries).__name__}")
         _require_type("ctx", ctx, GrassCtx)
-        for pos, e in enumerate(self.entries, start=1):
+        for pos, e in enumerate(entries, start=1):
             if type(e) is not int:
                 raise GrassError(f"entry {e!r} at position {pos} is not an integer")
-        k, n = self.ctx.k, self.ctx.n
-        if len(self.entries) != k:
+        k, n = ctx.k, ctx.n
+        if len(entries) != k:
             raise WrongLength(
-                f"expected {_fmt_int(k)} entries for {_fmt_ctx(self.ctx)}, "
-                f"got {len(self.entries)}"
+                f"expected {_fmt_int(k)} entries for {_fmt_ctx(ctx)}, got {len(entries)}"
             )
         prev = 0
-        for pos, e in enumerate(self.entries, start=1):
+        for pos, e in enumerate(entries, start=1):
             if not 1 <= e <= n:
                 raise OutOfRange(
                     f"entry {_fmt_int(e)} at position {pos} is outside [1, {_fmt_int(n)}]"

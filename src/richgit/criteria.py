@@ -33,6 +33,7 @@ from .core import (
     _index,
     _record,
     _require_type,
+    _richardson,
     make_index,
 )
 from .singular import SingularComponent, richardson_singular_components
@@ -241,23 +242,6 @@ class AnalysisReport(_Record):
         }
 
 
-# analyze builds its four records inline through these slot setters: its
-# throughput fell 1-6% with the generated _trusted constructors instead
-# (6 of 6 alternating runs on 9,000 pairs, Python 3.11.7, 2-core Xeon VM).
-_set_entries = GrassIndex.entries.__set__
-_set_index_ctx = GrassIndex.ctx.__set__
-_set_v = RichardsonId.v.__set__
-_set_w = RichardsonId.w.__set__
-_set_pair = AnalysisReport.pair.__set__
-_set_nonempty = AnalysisReport.nonempty.__set__
-_set_has_semistable = AnalysisReport.has_semistable.__set__
-_set_by_components = AnalysisReport.smooth_by_components.__set__
-_set_by_pattern = AnalysisReport.smooth_by_pattern.__set__
-_set_verdict = AnalysisReport.verdict.__set__
-_set_dimension = AnalysisReport.dimension.__set__
-_new = object.__new__
-
-
 def _checked_pair(
     v: Sequence[int] | GrassIndex, w: Sequence[int] | GrassIndex, ctx: GrassCtx
 ) -> tuple[GrassIndex, GrassIndex, MinimalPair]:
@@ -298,11 +282,17 @@ def analyze(
     given, not to k; valid tuples of a huge context still cost time in
     proportion to k.  Once ctx's minimal pair is memoized (see
     core._PairMemo), a pair of raw tuples is checked by one fused test and
-    built trusted.  Everything else (the first call on a context, lists
-    and other sequences, prebuilt indices, and any pair that fails the
-    fused test) takes _checked_pair, which makes the checks above one by
-    one and raises the same errors with the same messages.  Every value
-    derived from the pair afterwards is trusted.
+    built trusted.  That test decides semistability, v <= v_min and
+    w_min <= w, on the tuples, and tests v <= w only when it fails: a
+    semistable pair has v <= v_min < w_min <= w (v_min's entry i is
+    a_{i-1} < a_i), so it needs no third comparison.  Everything else
+    (the first call on a context, lists and other sequences, prebuilt
+    indices, and any pair that fails the fused test) takes _checked_pair,
+    which makes the checks above one by one and raises the same errors
+    with the same messages; semistability is then decided on the entries
+    it built.  Every record is built by the generated trusted
+    constructors, core._index, core._richardson and
+    AnalysisReport._trusted, as every value derived from the pair is.
     dimension is length(w) - length(v), the difference of the entry sums.
 
     On a semistable pair the verdict is two clauses on consecutive
@@ -361,7 +351,8 @@ def analyze(
     # is not GrassIndex.__post_init__'s check on each index: with strict
     # increase on each side, 1 <= v_1 bounds v below and w_k <= n bounds w
     # above, and v <= w gives the other two bounds, so no inner range
-    # bound needs a test.
+    # bound needs a test.  Semistability implies v <= w (see the docstring),
+    # so only a pair that is not semistable is tested for it.
     if (
         mp is not None
         and type(v) is tuple
@@ -372,40 +363,28 @@ def analyze(
         and w[-1] <= ctx.n
         and all(map(lt, v, v[1:]))
         and all(map(lt, w, w[1:]))
-        and all(map(le, v, w))
+        and (
+            (ss := all(map(le, v, mp.v_min.entries)) and all(map(le, mp.a, w)))
+            or all(map(le, v, w))
+        )
     ):
-        vi = _new(GrassIndex)
-        _set_entries(vi, v)
-        _set_index_ctx(vi, ctx)
-        wi = _new(GrassIndex)
-        _set_entries(wi, w)
-        _set_index_ctx(wi, ctx)
+        vi, wi = _index(v, ctx), _index(w, ctx)
     else:
         vi, wi, mp = _checked_pair(v, w, ctx)
-    ve, we = vi.entries, wi.entries
-    rid = _new(RichardsonId)
-    _set_v(rid, vi)
-    _set_w(rid, wi)
+        v, w = vi.entries, wi.entries
+        ss = all(map(le, v, mp.v_min.entries)) and all(map(le, mp.a, w))
 
     v_min, a = mp.v_min.entries, mp.a
-    ss = all(map(le, ve, v_min)) and all(map(le, a, we))
     if not ss:
         by_components: bool | None = None
         by_pattern: bool | None = None
         verdict = EMPTY_QUOTIENT
-    elif _upper_clause(we, a):
-        by_components, by_pattern = _lower_clauses(ve, v_min, a)
+    elif _upper_clause(w, a):
+        by_components, by_pattern = _lower_clauses(v, v_min, a)
         verdict = SMOOTH if by_components else SINGULAR
     else:
         by_components = by_pattern = False
         verdict = SINGULAR
-
-    rep = _new(AnalysisReport)
-    _set_pair(rep, rid)
-    _set_nonempty(rep, True)
-    _set_has_semistable(rep, ss)
-    _set_by_components(rep, by_components)
-    _set_by_pattern(rep, by_pattern)
-    _set_verdict(rep, verdict)
-    _set_dimension(rep, sum(we) - sum(ve))
-    return rep
+    return AnalysisReport._trusted(
+        _richardson(vi, wi), True, ss, by_components, by_pattern, verdict, sum(w) - sum(v)
+    )

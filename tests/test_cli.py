@@ -781,6 +781,30 @@ class TestOutFile:
         assert not target.exists()
         assert not target.parent.exists()
 
+    def test_closed_stdout_pipe_exit_2(self):
+        # a reader that stops after one line, as `richgit census ... | head -n 1`
+        # does.  With PYTHONUNBUFFERED set, Python drops the unwritten output
+        # without raising, so the child runs without it, as a shell's would
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(SRC)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "richgit.cli", *census_argv(7, 16)],
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        try:
+            assert proc.stdout.readline() == b"census of G(7,16):\n"
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            assert proc.wait(timeout=60) == 2
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stderr.close()
+        # one error line; no traceback, and no "Exception ignored" from the flush at exit
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
 
 MALFORMED = st.sampled_from(["", ",", "1,,2", "1,2,", "x", "1.5", " ", "3,a", "0x3"])
 

@@ -376,6 +376,13 @@ class TestAnalyze:
     @example((4, 9, ("warm", (1, 3, 5, 7)), ("equal", (3, 5, 7, 9))))
     @example((4, 9, ("equal", (1, 3, 5, 7)), ("warm", (3, 5, 7, 9))))
     @example((1, 3, ("tuple", (1,)), ("tuple", (3,))))
+    # the fused test's semistability arm: v_min = (1,3,5,7), w_min = (3,5,7,9).
+    # A semistable pair, which skips the v <= w test; a pair that is not
+    # semistable but has v <= w; and v <= v_min with w neither >= w_min nor
+    # >= v, which must raise EmptyRichardson as the checked path does
+    @example((4, 9, ("tuple", (1, 2, 4, 6)), ("tuple", (4, 6, 8, 9))))
+    @example((4, 9, ("tuple", (2, 4, 6, 8)), ("tuple", (3, 5, 7, 9))))
+    @example((4, 9, ("tuple", (1, 3, 5, 7)), ("tuple", (2, 3, 4, 9))))
     def test_warm_context_answers_as_a_fresh_one(self, args):
         # analyze on a context whose minimal pair is memoized takes its
         # fast checks; on a fresh one, the checks one by one.  Both must

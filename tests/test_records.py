@@ -5,17 +5,20 @@ __dict__, no assignment, equality and hashing over its fields, copies
 that go through the validating constructor, and a generated trusted
 constructor, cls._trusted (which sets the fields through the slot
 descriptors, skipping validation), that builds exactly what the
-validated constructor builds.  analyze's inline build is held to the
-same rule.
+validated constructor builds.  analyze builds its reports with those
+trusted constructors, and they are held to the same rule; no module
+outside core binds a record field's slot setter.
 """
 
 from __future__ import annotations
 
+import ast
 import copy
 import importlib
 import pickle
 import pkgutil
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -205,7 +208,7 @@ def trusted_and_validated():
     rep = analyze((1, 3, 4, 6), (5, 7, 8, 9), G49)
     empty = analyze((1, 2, 6, 7), (3, 6, 7, 9), G49)
     comp = rep.components[0]
-    # analyze builds its records inline; components builds each kept component's pair trusted
+    # analyze builds its records trusted, and components each kept component's pair
     cases["criteria.analyze-component"] = (
         comp,
         ComponentReport(RichardsonId(comp.pair.v, comp.pair.w), comp.source, comp.has_semistable),
@@ -224,6 +227,24 @@ def test_trusted_constructor_matches_the_validated_one(name):
     assert hash(trusted) == hash(checked)
     assert repr(trusted) == repr(checked)
     assert validated(trusted) == trusted
+
+
+def slot_setters():
+    """(module, owner) for each ``owner.__set__`` taken in a richgit module other than core."""
+    found = []
+    for path in sorted(Path(richgit.__file__).parent.glob("*.py")):
+        if path.stem != "core":
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Attribute) and node.attr == "__set__":
+                    found.append((path.stem, ast.unparse(node.value)))
+    return found
+
+
+def test_only_core_binds_record_slot_setters():
+    # records are built by the constructors core._record generates; the
+    # one setter bound elsewhere fills the minimal-pair memo, a slot of
+    # core._PairMemo that is no record field
+    assert slot_setters() == [("criteria", "_PairMemo._minimal")]
 
 
 @pytest.mark.parametrize(
